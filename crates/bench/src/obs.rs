@@ -10,6 +10,7 @@
 //! binary prints them to stdout only.
 
 use imcf_obs::{default_rules, ObsConfig, ObsEngine};
+use imcf_telemetry::trace::splitmix64;
 use imcf_telemetry::Registry;
 use serde::{Deserialize, Serialize};
 
@@ -42,18 +43,11 @@ pub struct ObsRow {
     pub slot_p99_120: f64,
 }
 
-fn splitmix(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// One deterministic tick of synthetic telemetry: a journal counter with
 /// a seed-derived burst pattern, a breaker gauge, and a latency histogram
 /// — the metric kinds the real soak produces, without the soak cost.
 pub fn synthetic_tick(registry: &Registry, seed: u64, tick: u64) {
-    let roll = splitmix(seed ^ tick.wrapping_mul(0x2545_f491_4f6c_dd1d));
+    let roll = splitmix64(seed ^ tick.wrapping_mul(0x2545_f491_4f6c_dd1d));
     registry.counter("journal.deduped").add(roll % 4);
     registry
         .gauge("breaker.open_now")

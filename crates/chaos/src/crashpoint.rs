@@ -19,7 +19,7 @@
 //! unwinding, no destructors — the closest safe approximation of
 //! `SIGKILL` mid-write).
 
-use crate::plan::splitmix64;
+use imcf_telemetry::trace::splitmix64;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicBool, Ordering};

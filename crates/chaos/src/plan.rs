@@ -11,6 +11,7 @@
 //! * serializing and deserializing the plan preserves every future
 //!   decision exactly (the struct is plain data).
 
+use imcf_telemetry::trace::splitmix64;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -274,14 +275,6 @@ impl FaultPlan {
         let mut rng = self.stream(DOMAIN_BUS, tick, 0);
         rng.gen_bool(self.bus_stall_rate.clamp(0.0, 1.0))
     }
-}
-
-/// splitmix64 finalizer (public-domain constant schedule).
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 /// FNV-1a over a device key, folding strings into decision coordinates.

@@ -578,7 +578,7 @@ mod tests {
                 vec![CandidateRule::convenience(RuleId(0), 22.0, 15.0, 0.1).in_zone("den")],
                 1.0,
             );
-            c.tick(&slot);
+            c.tick_with_errors(&slot);
         }
         let r = router.handle("GET /rest/breakers");
         assert_eq!(r.status, 200);

@@ -117,7 +117,7 @@ impl Campaign {
                 self.report.energy_kwh += energy;
             }
             _ => {
-                let summary = self.controller.tick(slot);
+                let summary = self.controller.tick_with_errors(slot).0;
                 self.report.plans += 1;
                 self.report.energy_kwh += summary.energy_kwh;
                 self.report.delivered += summary.delivered;

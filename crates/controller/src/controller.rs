@@ -137,6 +137,17 @@ pub fn journal_tick(
     Ok(table.insert(summary.clone())?)
 }
 
+/// The thing UID that actuates a `(zone, class)` candidate, or `None` for
+/// classes without an actuator (meters). The one place these UIDs are
+/// spelled out for matching against breakers and actuation errors.
+pub fn thing_uid(zone: &str, class: DeviceClass) -> Option<String> {
+    match class {
+        DeviceClass::Hvac => Some(format!("imcf:hvac:{zone}")),
+        DeviceClass::Light => Some(format!("imcf:light:{zone}")),
+        DeviceClass::Meter => None,
+    }
+}
+
 /// The outcome of one orchestration tick.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TickSummary {
@@ -496,27 +507,13 @@ impl LocalController {
         self.reserve_kwh
     }
 
-    /// The thing UID that would actuate a `(zone, class)` candidate, or
-    /// `None` for classes without an actuator (meters).
-    fn thing_uid_for(zone: &str, class: DeviceClass) -> Option<String> {
-        match class {
-            DeviceClass::Hvac => Some(format!("imcf:hvac:{zone}")),
-            DeviceClass::Light => Some(format!("imcf:light:{zone}")),
-            DeviceClass::Meter => None,
-        }
-    }
-
     /// Runs one orchestration tick over a planning slot.
-    pub fn tick(&mut self, slot: &PlanningSlot) -> TickSummary {
-        self.tick_with_errors(slot).0
-    }
-
-    /// Runs one orchestration tick, also surfacing per-command failures.
     ///
-    /// Like [`tick`](Self::tick), plus the list of
-    /// [`ControllerError::Actuation`] values for commands that exhausted
-    /// their retry budget. The summary's `failed`/`retried`/`quarantined`
-    /// counters aggregate the same information.
+    /// Returns the tick summary plus the errors the tick surfaced: one
+    /// [`ControllerError::Actuation`] per command that exhausted its retry
+    /// budget and one [`ControllerError::Storage`] per failed journal
+    /// write. The summary's `failed`/`retried`/`quarantined` counters
+    /// aggregate the same information.
     pub fn tick_with_errors(&mut self, slot: &PlanningSlot) -> (TickSummary, Vec<ControllerError>) {
         let _tick_span = imcf_telemetry::span!("scheduler.tick_micros");
         let hour = slot.hour_index;
@@ -540,7 +537,7 @@ impl LocalController {
         {
             let mut bank = self.breakers.lock();
             slot.candidates.retain(|candidate| {
-                match Self::thing_uid_for(&candidate.zone, candidate.device_class) {
+                match thing_uid(&candidate.zone, candidate.device_class) {
                     Some(uid) if !bank.allows(&uid, hour) => {
                         if trace::active() {
                             trace::point(
@@ -607,7 +604,7 @@ impl LocalController {
                     "plan dropped"
                 };
                 if trace::active() {
-                    let uid = Self::thing_uid_for(zone, *class).unwrap_or_else(|| zone.clone());
+                    let uid = thing_uid(zone, *class).unwrap_or_else(|| zone.clone());
                     trace::point(
                         "firewall.drop_rule",
                         &[
@@ -664,8 +661,7 @@ impl LocalController {
             else {
                 continue;
             };
-            let uid = Self::thing_uid_for(&candidate.zone, class)
-                .unwrap_or_else(|| candidate.zone.clone());
+            let uid = thing_uid(&candidate.zone, class).unwrap_or_else(|| candidate.zone.clone());
             command_index += 1;
             let command_id = trace::TraceId::derive(self.trace_seed, hour, command_index).0;
             self.chaos_tick.store(hour, Ordering::SeqCst);
@@ -854,7 +850,7 @@ mod tests {
     fn adopted_rules_actuate_and_meter() {
         let mut c = controller_with_zone("living");
         let slot = PlanningSlot::new(0, vec![hvac_candidate("living", 22.0, 15.0, 0.6)], 1.0);
-        let summary = c.tick(&slot);
+        let summary = c.tick_with_errors(&slot).0;
         assert_eq!(summary.adopted.len(), 1);
         assert_eq!(summary.delivered, 1);
         assert_eq!(summary.blocked, 0);
@@ -870,7 +866,7 @@ mod tests {
         let mut c = controller_with_zone("living");
         // Budget 0: the plan must drop the rule and install a DROP rule.
         let slot = PlanningSlot::new(3, vec![hvac_candidate("living", 22.0, 15.0, 0.6)], 0.0);
-        let summary = c.tick(&slot);
+        let summary = c.tick_with_errors(&slot).0;
         assert_eq!(summary.adopted.len(), 0);
         assert_eq!(summary.dropped.len(), 1);
         assert_eq!(summary.energy_kwh, 0.0);
@@ -905,7 +901,7 @@ mod tests {
             ],
             0.5,
         );
-        let summary = c.tick(&slot);
+        let summary = c.tick_with_errors(&slot).0;
         assert_eq!(summary.adopted.len() + summary.dropped.len(), 2);
         assert!(summary.energy_kwh <= 0.5 + 1e-9);
         // The cheap rule in zone b must survive (dropping it gains nothing).
@@ -917,7 +913,7 @@ mod tests {
         let mut c = controller_with_zone("z");
         let rx = c.bus().subscribe();
         let slot = PlanningSlot::new(0, vec![hvac_candidate("z", 22.0, 18.0, 0.2)], 1.0);
-        c.tick(&slot);
+        c.tick_with_errors(&slot);
         let events: Vec<Event> = rx.try_iter().collect();
         assert!(events
             .iter()
@@ -938,7 +934,7 @@ mod tests {
             .in_zone("z")
             .for_class(DeviceClass::Light);
         let slot = PlanningSlot::new(0, vec![candidate], 1.0);
-        let summary = c.tick(&slot);
+        let summary = c.tick_with_errors(&slot).0;
         assert_eq!(summary.delivered, 1);
         let item = c.registry().item("z_Light").unwrap();
         assert_eq!(item.state, imcf_devices::item::ItemState::Percent(60.0));
@@ -948,7 +944,7 @@ mod tests {
     fn unprovisioned_zone_commands_fail_gracefully() {
         let mut c = controller_with_zone("z");
         let slot = PlanningSlot::new(0, vec![hvac_candidate("ghost", 22.0, 15.0, 0.1)], 1.0);
-        let summary = c.tick(&slot);
+        let summary = c.tick_with_errors(&slot).0;
         assert_eq!(summary.delivered, 0);
         assert_eq!(summary.blocked, 1);
     }

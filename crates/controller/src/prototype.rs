@@ -257,7 +257,7 @@ pub fn run_prototype(config: PrototypeConfig) -> PrototypeOutcome {
             });
         }
         let slot = PlanningSlot::new(h, candidates, plan.hourly_budget(h));
-        let summary = controller.tick(&slot);
+        let summary = controller.tick_with_errors(&slot).0;
         delivered += summary.delivered;
         blocked += summary.blocked;
 

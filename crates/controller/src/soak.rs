@@ -12,7 +12,7 @@
 //! `chaos_soak` bench sweep fault rates under `imcf-pool` and still
 //! compare results exactly.
 
-use crate::controller::{journal_tick, ControllerConfig, LocalController, TickSummary};
+use crate::controller::{journal_tick, thing_uid, ControllerConfig, LocalController, TickSummary};
 use imcf_chaos::{BreakerConfig, FaultPlan, RetryPolicy, StoreOp};
 use imcf_core::calendar::PaperCalendar;
 use imcf_core::candidate::{CandidateRule, PlanningSlot};
@@ -314,13 +314,9 @@ pub fn run_soak(config: &SoakConfig, journal_dir: Option<&Path>) -> SoakOutcome 
             .collect();
         for candidate in &slot.candidates {
             out.instances += 1;
-            let uid = match candidate.device_class {
-                DeviceClass::Hvac => format!("imcf:hvac:{}", candidate.zone),
-                DeviceClass::Light => format!("imcf:light:{}", candidate.zone),
-                DeviceClass::Meter => String::new(),
-            };
-            let honoured = summary.adopted.contains(&candidate.rule_id)
-                && !failed_things.contains(uid.as_str());
+            let failed = thing_uid(&candidate.zone, candidate.device_class)
+                .is_some_and(|uid| failed_things.contains(uid.as_str()));
+            let honoured = summary.adopted.contains(&candidate.rule_id) && !failed;
             if !honoured {
                 ce_sum += convenience_error_fraction(candidate.desired, candidate.ambient);
             }

@@ -23,7 +23,7 @@ fn metrics_endpoint_reports_scenario_counters() {
         vec![CandidateRule::convenience(RuleId(0), 22.0, 15.0, 0.4).in_zone("den")],
         1.0,
     );
-    let summary = c.tick(&affordable);
+    let summary = c.tick_with_errors(&affordable).0;
     assert_eq!(summary.delivered, 1);
 
     let router = Router::new(

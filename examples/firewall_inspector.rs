@@ -48,7 +48,7 @@ fn main() {
     println!("=== one winter day through the controller ===\n");
     for slot in builder.range(day_start..day_start + 24) {
         let hour = slot.hour_index % 24;
-        let summary = controller.tick(&slot);
+        let summary = controller.tick_with_errors(&slot).0;
         ticks.insert(summary.clone()).expect("tick persists");
         if !slot.is_empty() {
             println!(

@@ -66,7 +66,7 @@ fn controller_over_dataset_slots_with_persistence_and_recovery() {
         let store = Store::open(dir.path()).unwrap();
         let mut ticks = store.table::<TickSummary>("ticks").unwrap();
         for slot in builder.range(0..48) {
-            let summary = controller.tick(&slot);
+            let summary = controller.tick_with_errors(&slot).0;
             assert_eq!(summary.adopted.len() + summary.dropped.len(), slot.len());
             ticks.insert(summary).unwrap();
         }
@@ -105,7 +105,7 @@ fn controller_reserve_carries_budget_across_ticks() {
     let empty = builder.slot_at(0);
     assert!(empty.is_empty());
     let before = controller.reserve_kwh();
-    controller.tick(&empty);
+    controller.tick_with_errors(&empty);
     assert!(controller.reserve_kwh() > before);
 }
 
@@ -126,7 +126,7 @@ fn firewall_blocks_manual_overrides_of_dropped_zones() {
         vec![CandidateRule::convenience(RuleId(0), 24.0, 10.0, 0.9).in_zone("den")],
         0.0,
     );
-    let summary = controller.tick(&slot);
+    let summary = controller.tick_with_errors(&slot).0;
     assert_eq!(summary.dropped.len(), 1);
 
     // A user trying to bypass the plan through the registry is stopped by

@@ -111,7 +111,7 @@ fn build_slots(
     };
     // ECP from the MR schedule over this trace.
     let trace = imcf_traces::series::Trace::new(calendar, vec![zone.clone()]);
-    let ecp = imcf_traces::ecp::derive_ecp(&trace, |z, h| {
+    let ecp = imcf_traces::ecp::derive_ecp(&trace, |_, z, h| {
         let hod = calendar.hour_of_day(h);
         mrt.active_at_hour(hod)
             .iter()

@@ -754,19 +754,13 @@ mod tests {
         assert_eq!(r.status, 405);
     }
 
+    /// The counter's exact delta per request is checked in
+    /// `tests/api_requests_label.rs`, a process of its own: the router
+    /// tests here bump the same global counter in parallel.
     #[test]
     fn api_requests_label_is_a_status_class() {
         assert_eq!(status_class(200), "2xx");
         assert_eq!(status_class(409), "4xx");
         assert_eq!(status_class(500), "5xx");
-        let (_c, router) = router_with_zone();
-        let before = imcf_telemetry::global()
-            .counter_with("api.requests", &[("status", "2xx")])
-            .get();
-        router.handle("GET /rest/items");
-        let after = imcf_telemetry::global()
-            .counter_with("api.requests", &[("status", "2xx")])
-            .get();
-        assert_eq!(after, before + 1);
     }
 }

@@ -89,8 +89,15 @@ impl TimeWindow {
     /// Whether any part of the given hour `[h:00, h+1:00)` falls inside the
     /// window. Used by the hourly planner granularity.
     pub fn contains_hour(&self, hour_of_day: u32) -> bool {
-        let h = hour_of_day % 24;
-        (0..60).any(|m| self.contains_minute(h * 60 + m))
+        let lo = (hour_of_day % 24) * 60;
+        let hi = lo + 60;
+        if self.wraps() {
+            // `[start, 24:00)` or `[00:00, end)` reaches into the hour.
+            self.start_min < hi || lo < self.end_min
+        } else {
+            // A non-empty `[start, end)` overlapping `[lo, hi)`.
+            self.start_min < self.end_min && self.start_min < hi && lo < self.end_min
+        }
     }
 
     /// Duration of the window in minutes.

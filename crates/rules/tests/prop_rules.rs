@@ -15,6 +15,42 @@ fn arb_window() -> impl Strategy<Value = TimeWindow> {
         .prop_map(|(sh, sm, eh, em)| TimeWindow::hm((sh, sm), (eh, em)))
 }
 
+/// The oracle for `contains_hour`: a scan of the hour's 60 minutes.
+fn any_minute_in_hour(w: &TimeWindow, hour: u32) -> bool {
+    (0..60).any(|m| w.contains_minute(hour * 60 + m))
+}
+
+/// Every window whose bounds lie on an hour boundary, one minute either
+/// side of it, or half past (24:00 included), checked for all 24 hours
+/// against the minute scan. The set holds wrapping, empty and 24:00
+/// windows, which `arb_window` never draws.
+#[test]
+fn window_hour_projection_near_hour_boundaries() {
+    // 60h − 1 appears as 60(h − 1) + 59, which keeps the arithmetic unsigned.
+    let bounds: Vec<u32> = (0..=24u32)
+        .flat_map(|h| [60 * h, 60 * h + 1, 60 * h + 30, 60 * h + 59])
+        .filter(|m| *m <= MINUTES_PER_DAY)
+        .collect();
+    assert_eq!(bounds.len(), 97);
+    let (mut wrapping, mut empty, mut to_midnight) = (0, 0, 0);
+    for &start in &bounds {
+        for &end in &bounds {
+            let w = TimeWindow::hm((start / 60, start % 60), (end / 60, end % 60));
+            wrapping += usize::from(w.wraps());
+            empty += usize::from(w.duration_minutes() == 0);
+            to_midnight += usize::from(end == MINUTES_PER_DAY);
+            for hour in 0..24 {
+                assert_eq!(
+                    w.contains_hour(hour),
+                    any_minute_in_hour(&w, hour),
+                    "{w} at hour {hour}"
+                );
+            }
+        }
+    }
+    assert!(wrapping > 0 && empty > 0 && to_midnight > 0);
+}
+
 fn arb_env() -> impl Strategy<Value = EnvSnapshot> {
     (
         1u32..=12,
@@ -96,8 +132,7 @@ proptest! {
     /// `contains_hour` is the hour-level projection of minute membership.
     #[test]
     fn window_hour_projection(w in arb_window(), hour in 0u32..24) {
-        let any_minute = (0..60).any(|m| w.contains_minute(hour * 60 + m));
-        prop_assert_eq!(w.contains_hour(hour), any_minute);
+        prop_assert_eq!(w.contains_hour(hour), any_minute_in_hour(&w, hour));
     }
 
     /// Predicate evaluation is total and negation involutive.

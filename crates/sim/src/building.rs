@@ -19,7 +19,6 @@ use imcf_rules::ifttt::IftttTable;
 use imcf_rules::mrt::Mrt;
 use imcf_traces::generator::TraceGenerator;
 use imcf_traces::series::Trace;
-use std::collections::BTreeMap;
 
 /// Which of the paper's datasets to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -161,21 +160,29 @@ impl Dataset {
     /// (execute-everything) schedule through the device models — the
     /// simulated equivalent of the sub-metered history behind Table I.
     pub fn derive_mr_ecp(&self) -> Ecp {
-        let mrt_by_zone: BTreeMap<&str, &Mrt> = self
-            .trace
-            .zones
+        // Each zone's active actions for every hour of day, in table order;
+        // `zone_mrts[i]` is the table of `trace.zones[i]`.
+        let active: Vec<[Vec<&Action>; 24]> = self
+            .zone_mrts
             .iter()
-            .zip(self.zone_mrts.iter())
-            .map(|(z, m)| (z.zone.as_str(), m))
+            .map(|mrt| {
+                std::array::from_fn(|hour_of_day| {
+                    mrt.active_at_hour(hour_of_day as u32)
+                        .into_iter()
+                        .map(|r| &r.action)
+                        .collect()
+                })
+            })
             .collect();
-        imcf_traces::ecp::derive_ecp(&self.trace, |zone, h| {
-            let hour_of_day = self.trace.calendar.hour_of_day(h);
-            let Some(mrt) = mrt_by_zone.get(zone.zone.as_str()) else {
+        imcf_traces::ecp::derive_ecp(&self.trace, |i, zone, h| {
+            let Some(by_hour) = active.get(i) else {
                 return 0.0;
             };
-            mrt.active_at_hour(hour_of_day)
+            let hour_of_day = self.trace.calendar.hour_of_day(h) as usize;
+            let (temp, light) = (zone.temperature.at(h), zone.light.at(h));
+            by_hour[hour_of_day]
                 .iter()
-                .map(|r| self.action_kwh(&r.action, zone.temperature.at(h), zone.light.at(h)))
+                .map(|action| self.action_kwh(action, temp, light))
                 .sum()
         })
     }

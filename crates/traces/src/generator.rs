@@ -78,13 +78,13 @@ impl ClimateModel {
         }
     }
 
-    /// Outdoor temperature at `(month, hour_of_day)` given the day's
-    /// anomaly.
-    fn outdoor_c(&self, month: u32, hour_of_day: u32, anomaly: f64) -> f64 {
+    /// Outdoor temperature at `(month, hour_of_day)` before the day's
+    /// anomaly is added.
+    fn outdoor_c(&self, month: u32, hour_of_day: u32) -> f64 {
         let mean = self.monthly_mean_c[(month as usize - 1) % 12];
         // Coldest around 05:00, warmest around 15:00.
         let phase = (hour_of_day as f64 - 15.0) / 24.0 * std::f64::consts::TAU;
-        mean + self.diurnal_amp_c * phase.cos() + anomaly
+        mean + self.diurnal_amp_c * phase.cos()
     }
 
     /// Indoor unactuated temperature from outdoor.
@@ -92,18 +92,30 @@ impl ClimateModel {
         self.indoor_mix * outdoor + (1.0 - self.indoor_mix) * self.indoor_base_c
     }
 
-    /// Indoor daylight level at `(month, hour_of_day)` under a cloud factor
-    /// in [0, 1].
-    fn daylight(&self, month: u32, hour_of_day: u32, cloud: f64) -> f64 {
+    /// Indoor daylight level at `(month, hour_of_day)` on a clear day,
+    /// before the cloud factor; `None` after dark.
+    fn daylight(&self, month: u32, hour_of_day: u32) -> Option<f64> {
         let day_len = self.day_length_h[(month as usize - 1) % 12];
         let sunrise = 12.5 - day_len / 2.0;
         let sunset = 12.5 + day_len / 2.0;
         let h = hour_of_day as f64 + 0.5;
         if h < sunrise || h > sunset {
-            return 0.0;
+            return None;
         }
         let x = (h - sunrise) / day_len * std::f64::consts::PI;
-        (self.peak_daylight * x.sin() * cloud).clamp(0.0, 100.0)
+        Some(self.peak_daylight * x.sin())
+    }
+
+    /// [`Self::outdoor_c`] and [`Self::daylight`] for every
+    /// `(month, hour_of_day)`, January first: the part of each hour that
+    /// does not depend on the day's weather.
+    fn hour_table(&self) -> [[(f64, Option<f64>); 24]; 12] {
+        std::array::from_fn(|m| {
+            std::array::from_fn(|h| {
+                let (month, hour) = (m as u32 + 1, h as u32);
+                (self.outdoor_c(month, hour), self.daylight(month, hour))
+            })
+        })
     }
 }
 
@@ -155,6 +167,7 @@ impl TraceGenerator {
         // Small fixed per-zone offsets make replicated zones distinct.
         let zone_temp_offset: f64 = rng.gen_range(-0.8..0.8);
         let zone_light_factor: f64 = rng.gen_range(0.85..1.0);
+        let hours = self.climate.hour_table();
 
         for h in 0..self.horizon_hours {
             let dt = self.calendar.decompose(h);
@@ -164,10 +177,11 @@ impl TraceGenerator {
                 anomaly = self.climate.anomaly_persistence * anomaly + innovation;
                 cloud = rng.gen_range(0.35..1.0f64);
             }
-            let outdoor = self.climate.outdoor_c(dt.month, dt.hour, anomaly);
-            let indoor = self.climate.indoor_c(outdoor) + zone_temp_offset;
+            let (outdoor, clear_daylight) = hours[dt.month as usize - 1][dt.hour as usize];
+            let indoor = self.climate.indoor_c(outdoor + anomaly) + zone_temp_offset;
             temperature.push(indoor + rng.gen_range(-0.2..0.2));
-            light.push(self.climate.daylight(dt.month, dt.hour, cloud) * zone_light_factor);
+            let daylight = clear_daylight.map_or(0.0, |l| (l * cloud).clamp(0.0, 100.0));
+            light.push(daylight * zone_light_factor);
             // Door openings cluster in waking hours (07:00–23:00).
             let open_frac = if (7..23).contains(&dt.hour) {
                 let p = self.climate.door_openings_per_day / 16.0;
@@ -303,14 +317,16 @@ mod tests {
     #[test]
     fn daylight_respects_day_length() {
         let c = ClimateModel::mediterranean();
-        // Midnight dark in any month and cloud level.
+        let table = c.hour_table();
+        // Midnight dark in any month.
         for month in 1..=12 {
-            assert_eq!(c.daylight(month, 0, 1.0), 0.0);
+            assert_eq!(c.daylight(month, 0), None);
         }
         // Noon bright on a clear June day.
-        assert!(c.daylight(6, 12, 1.0) > 60.0);
-        // Clouds attenuate.
-        assert!(c.daylight(6, 12, 0.4) < c.daylight(6, 12, 1.0));
+        assert!(c.daylight(6, 12).is_some_and(|l| l > 60.0));
+        // June has more daylight hours than December.
+        let lit = |m: usize| table[m].iter().filter(|(_, l)| l.is_some()).count();
+        assert!(lit(5) > lit(11), "june {} vs december {}", lit(5), lit(11));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 
 use imcf_controller::prototype::{run_prototype, PrototypeConfig};
 
-fn main() {
+fn main() -> Result<(), imcf_controller::ControllerError> {
     let config = PrototypeConfig::default();
-    let out = run_prototype(config);
+    let out = run_prototype(config)?;
 
     println!(
         "=== Table IV: prototype week (limit {} kWh) ===\n",
@@ -40,9 +40,10 @@ fn main() {
     }
 
     // Seasonal sensitivity (extension): the same family in July.
-    let summer = run_prototype(PrototypeConfig { month: 7, ..config });
+    let summer = run_prototype(PrototypeConfig { month: 7, ..config })?;
     println!(
         "\nSeasonal check — same week in July: F_E {:.2} kWh, F_CE {:.2} % (winter week: {:.2} kWh)",
         summer.fe_kwh, summer.fce_percent, out.fe_kwh
     );
+    Ok(())
 }

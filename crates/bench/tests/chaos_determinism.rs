@@ -48,6 +48,18 @@ fn injected_fault_counts_match_exactly_across_worker_counts() {
     }
 }
 
+/// FNV-1a-64 of the sweep JSON: pins the soak loop's output bytes across
+/// refactors, where the tests above only compare two runs of the same
+/// code.
+#[test]
+fn sweep_json_bytes_are_pinned() {
+    let json = sweep(1);
+    let hash = json.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+    });
+    assert_eq!(format!("{hash:016x}"), "c1f8653086871d55");
+}
+
 #[test]
 fn single_cell_matches_direct_run() {
     let cell = ChaosCell { rate: 0.2, seed: 1 };

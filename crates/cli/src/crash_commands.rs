@@ -24,8 +24,8 @@ use crate::args::ArgSpec;
 use imcf_chaos::crashpoint::{self, Crashpoint};
 use imcf_chaos::FaultPlan;
 use imcf_controller::{
-    audit_journal, open_or_restore, run_complete, run_recoverable, state_digest, RecoveryConfig,
-    StateDigest,
+    audit_journal, open_or_restore, run_complete, run_recoverable, state_digest, zone_names,
+    RecoveryConfig, StateDigest,
 };
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
@@ -61,10 +61,6 @@ fn recovery_config(seed: u64, params: &SoakParams) -> RecoveryConfig {
 /// derived seeds well separated while staying pure in `(base, index)`.
 fn run_seed(base: u64, index: u64) -> u64 {
     base.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-fn zone_names(zones: usize) -> Vec<String> {
-    (0..zones).map(|z| format!("zone{z}")).collect()
 }
 
 /// Serialized digest bytes — the comparison unit for "byte-identical".

@@ -93,6 +93,14 @@ pub enum ControllerError {
         /// The underlying storage failure, rendered.
         source: String,
     },
+    /// A run was asked to end before the tick its store is already
+    /// checkpointed at; finishing it would rewind the store.
+    Rewind {
+        /// The tick the store's latest checkpoint resumes at.
+        checkpointed: u64,
+        /// The tick the run was asked to end at.
+        ticks: u64,
+    },
 }
 
 impl std::fmt::Display for ControllerError {
@@ -112,6 +120,14 @@ impl std::fmt::Display for ControllerError {
                 )
             }
             ControllerError::Storage { source } => write!(f, "storage: {source}"),
+            ControllerError::Rewind {
+                checkpointed,
+                ticks,
+            } => write!(
+                f,
+                "the store is checkpointed at tick {checkpointed}, past the \
+                 {ticks} ticks asked for; refusing to rewind it"
+            ),
         }
     }
 }
@@ -124,17 +140,6 @@ impl From<imcf_store::table::TableError> for ControllerError {
             source: e.to_string(),
         }
     }
-}
-
-/// Appends a tick summary to a WAL-backed journal table, surfacing WAL
-/// failures as [`ControllerError::Storage`]. The journal is how a
-/// production deployment audits what the planner actually did; under
-/// injected store faults the caller keeps ticking and counts the error.
-pub fn journal_tick(
-    table: &mut imcf_store::Table<TickSummary>,
-    summary: &TickSummary,
-) -> Result<u64, ControllerError> {
-    Ok(table.insert(summary.clone())?)
 }
 
 /// The thing UID that actuates a `(zone, class)` candidate, or `None` for
@@ -276,6 +281,21 @@ impl LocalController {
         }
     }
 
+    /// Creates a controller and provisions `zones` in order (host
+    /// addresses follow the order). Fails with
+    /// [`ControllerError::Provision`] when two zones collide.
+    pub fn with_zones(
+        config: ControllerConfig,
+        calendar: PaperCalendar,
+        zones: &[String],
+    ) -> Result<LocalController, ControllerError> {
+        let mut controller = LocalController::new(config, calendar);
+        for zone in zones {
+            controller.provision_zone(zone)?;
+        }
+        Ok(controller)
+    }
+
     /// Serializes the full control state as of `next_tick` (the first tick
     /// a restored controller should run). `zones` is the provisioning
     /// order, needed to rebuild the device inventory on restore.
@@ -312,7 +332,7 @@ impl LocalController {
                 ),
             });
         }
-        let mut controller = LocalController::new(
+        let mut controller = LocalController::with_zones(
             ControllerConfig {
                 planner: checkpoint.planner,
                 retry: checkpoint.retry,
@@ -321,10 +341,8 @@ impl LocalController {
                 breaker: BreakerConfig::default(),
             },
             PaperCalendar::january_start(),
-        );
-        for zone in &checkpoint.zones {
-            controller.provision_zone(zone)?;
-        }
+            &checkpoint.zones,
+        )?;
         controller.next_host = checkpoint.next_host;
         controller.rng = checkpoint.rng.clone();
         // The meter embeds its calendar, so the placeholder above is
@@ -1088,14 +1106,14 @@ mod tests {
             retried: 0,
             quarantined: 0,
         };
-        let err = journal_tick(&mut table, &summary).unwrap_err();
+        let err = ControllerError::from(table.insert(summary.clone()).unwrap_err());
         assert!(matches!(err, ControllerError::Storage { .. }));
         assert!(err.to_string().contains("storage"));
         // The index never saw the failed insert.
         assert_eq!(table.len(), 0);
         // Clearing the hook restores service.
         table.clear_wal_fault_hook();
-        assert!(journal_tick(&mut table, &summary).is_ok());
+        assert!(table.insert(summary).is_ok());
         assert_eq!(table.len(), 1);
     }
 }

@@ -12,32 +12,33 @@
 //!   periodically;
 //! * [`api`] — the openHAB-style REST query/command surface;
 //! * [`bus`] — the event bus connecting APP/CC/LC components;
-//! * [`campaign`] — the long-lived deployment runner (cron-paced
-//!   re-planning with plan holding between invocations);
 //! * [`cloud`] — the Cloud Controller relay for out-of-home access
 //!   (Fig. 3's CC box);
 //! * [`config`] — the persistent resident/MRT configuration (the paper's
 //!   MariaDB layer);
 //! * [`controller`] — the IMCF orchestration loop: AP → EP → translate the
 //!   plan into admit/block decisions → actuate through the device registry;
+//! * [`deployment`] — the one driver that ticks a controller, with opt-in
+//!   chaos, tick-journal, checkpoint and obs attachments;
 //! * [`polling`] — trigger-condition-aware adaptive sensor polling (after
 //!   RT-IFTTT, the paper's related work [29]);
 //! * [`prototype`] — the week-long three-resident prototype deployment
-//!   (paper §III-F, Tables IV and V);
-//! * [`soak`] — the chaos soak harness driving the controller under an
+//!   (paper §III-F, Tables IV and V), a projection of one deployment run;
+//! * [`soak`] — the chaos soak harness: a deployment under an
 //!   `imcf-chaos` fault plan (device faults, store faults, sensor
-//!   outages, bus stalls) to measure survivability;
+//!   outages, bus stalls), reporting what survived;
 //! * [`recovery`] — checkpoint/restore plus the exactly-once command
-//!   journal (the crash-recovery substrate of `imcf chaos --crash`);
+//!   journal, and the recoverable run `imcf chaos --crash` kills and
+//!   restarts;
 //! * [`supervisor`] — the stuck-tick watchdog feeding
 //!   `controller.watchdog_trips` and the flight recorder.
 
 pub mod api;
 pub mod bus;
-pub mod campaign;
 pub mod cloud;
 pub mod config;
 pub mod controller;
+pub mod deployment;
 pub mod firewall;
 pub mod polling;
 pub mod prototype;
@@ -51,6 +52,7 @@ pub use cloud::{CloudController, RateLimit, RelayError, RelayStats};
 pub use controller::{
     ControllerCheckpoint, ControllerConfig, ControllerError, LocalController, TickSummary,
 };
+pub use deployment::{zone_names, Deployment, ZoneSlots};
 pub use firewall::{Chain, FirewallRule, Verdict};
 pub use prototype::{PrototypeConfig, PrototypeOutcome};
 pub use recovery::{

@@ -8,17 +8,16 @@
 //! * weather from [`imcf_sim::weather::WeatherApi`] (the API substitute),
 //! * a live thermal twin providing the unactuated ambient temperature,
 //! * the full [`LocalController`] loop — planning, firewall enforcement,
-//!   actuation, metering — ticked once per hour for 168 hours,
+//!   actuation, metering — ticked once per hour for 168 hours by a
+//!   [`Deployment`],
 //! * per-resident convenience attribution for the Table V breakdown.
 
-use crate::controller::{ControllerConfig, LocalController};
+use crate::controller::{ControllerConfig, ControllerError, LocalController};
+use crate::deployment::Deployment;
 use imcf_core::amortization::{AmortizationPlan, ApKind};
-use imcf_core::attribution::OwnerStats;
 use imcf_core::calendar::PaperCalendar;
 use imcf_core::candidate::{CandidateRule, PlanningSlot};
 use imcf_core::ecp::Ecp;
-use imcf_core::objective::convenience_error_fraction;
-use imcf_core::planner::PlannerConfig;
 use imcf_devices::energy::{DeviceEnergyModel, HvacModel, LightModel};
 use imcf_rules::action::{Action, DeviceClass};
 use imcf_rules::meta_rule::{MetaRule, RuleClass};
@@ -33,17 +32,16 @@ use serde::{Deserialize, Serialize};
 /// Hours in the prototype deployment (one week).
 pub const WEEK_HOURS: u64 = 7 * 24;
 
-/// Prototype configuration.
+/// Prototype configuration. The planner runs with its default
+/// parameters, seed 0 included.
 #[derive(Debug, Clone, Copy)]
 pub struct PrototypeConfig {
-    /// RNG seed (weather and planner).
+    /// Weather seed (the planner seed stays 0).
     pub seed: u64,
     /// The weekly energy limit one resident configured (paper: 165 kWh).
     pub weekly_budget_kwh: f64,
     /// 1-based month the week falls in (January default: winter loads).
     pub month: u32,
-    /// Planner parameters.
-    pub planner: PlannerConfig,
 }
 
 impl Default for PrototypeConfig {
@@ -52,7 +50,6 @@ impl Default for PrototypeConfig {
             seed: 0,
             weekly_budget_kwh: 165.0,
             month: 1,
-            planner: PlannerConfig::default(),
         }
     }
 }
@@ -81,91 +78,24 @@ pub struct PrototypeOutcome {
 /// approximately three different meta-rules … one of them set the weekly
 /// energy consumption limit to 165 kWh").
 pub fn family_mrt(weekly_budget_kwh: f64) -> Mrt {
+    use Action::{SetLight as Light, SetTemperature as Temp};
+    // (owner, rule, window start hour, window end hour, action)
+    let rules = [
+        ("father", "Evening comfort", 17, 23, Temp(24.0)),
+        ("father", "Night temperature", 23, 8, Temp(21.5)),
+        ("father", "Desk light", 18, 23, Light(50.0)),
+        ("mother", "Morning warmth", 6, 10, Temp(23.5)),
+        ("mother", "Day warmth", 10, 14, Temp(22.5)),
+        ("mother", "Morning light", 6, 9, Light(40.0)),
+        ("daughter", "Study light", 16, 20, Light(60.0)),
+        ("daughter", "Afternoon warmth", 14, 17, Temp(23.5)),
+        ("daughter", "Night lamp", 21, 23, Light(20.0)),
+    ];
     let mut mrt = Mrt::new();
-    // Father.
-    mrt.push(
-        MetaRule::convenience(
-            0,
-            "Evening comfort",
-            TimeWindow::hours(17, 23),
-            Action::SetTemperature(24.0),
-        )
-        .owned_by("father"),
-    );
-    mrt.push(
-        MetaRule::convenience(
-            0,
-            "Night temperature",
-            TimeWindow::hours(23, 8),
-            Action::SetTemperature(21.5),
-        )
-        .owned_by("father"),
-    );
-    mrt.push(
-        MetaRule::convenience(
-            0,
-            "Desk light",
-            TimeWindow::hours(18, 23),
-            Action::SetLight(50.0),
-        )
-        .owned_by("father"),
-    );
-    // Mother.
-    mrt.push(
-        MetaRule::convenience(
-            0,
-            "Morning warmth",
-            TimeWindow::hours(6, 10),
-            Action::SetTemperature(23.5),
-        )
-        .owned_by("mother"),
-    );
-    mrt.push(
-        MetaRule::convenience(
-            0,
-            "Day warmth",
-            TimeWindow::hours(10, 14),
-            Action::SetTemperature(22.5),
-        )
-        .owned_by("mother"),
-    );
-    mrt.push(
-        MetaRule::convenience(
-            0,
-            "Morning light",
-            TimeWindow::hours(6, 9),
-            Action::SetLight(40.0),
-        )
-        .owned_by("mother"),
-    );
-    // Daughter.
-    mrt.push(
-        MetaRule::convenience(
-            0,
-            "Study light",
-            TimeWindow::hours(16, 20),
-            Action::SetLight(60.0),
-        )
-        .owned_by("daughter"),
-    );
-    mrt.push(
-        MetaRule::convenience(
-            0,
-            "Afternoon warmth",
-            TimeWindow::hours(14, 17),
-            Action::SetTemperature(23.5),
-        )
-        .owned_by("daughter"),
-    );
-    mrt.push(
-        MetaRule::convenience(
-            0,
-            "Night lamp",
-            TimeWindow::hours(21, 23),
-            Action::SetLight(20.0),
-        )
-        .owned_by("daughter"),
-    );
+    for (owner, rule, from, to, action) in rules {
+        let window = TimeWindow::hours(from, to);
+        mrt.push(MetaRule::convenience(0, rule, window, action).owned_by(owner));
+    }
     // The household budget row.
     mrt.push(MetaRule::budget(
         0,
@@ -176,8 +106,9 @@ pub fn family_mrt(weekly_budget_kwh: f64) -> Mrt {
     mrt
 }
 
-/// Runs the week-long prototype deployment.
-pub fn run_prototype(config: PrototypeConfig) -> PrototypeOutcome {
+/// Runs the week-long prototype deployment. Fails only if the household's
+/// zone cannot be provisioned.
+pub fn run_prototype(config: PrototypeConfig) -> Result<PrototypeOutcome, ControllerError> {
     let calendar = PaperCalendar::starting_in(config.month);
     let weather = WeatherApi::new(
         imcf_traces::generator::ClimateModel::mediterranean(),
@@ -198,40 +129,23 @@ pub fn run_prototype(config: PrototypeConfig) -> PrototypeOutcome {
         calendar,
     );
 
-    let mut controller = LocalController::new(
-        ControllerConfig {
-            planner: config.planner,
-            ..ControllerConfig::default()
-        },
-        calendar,
-    );
-    // Fresh controller, single zone: the collision path is unreachable, and
-    // `run_prototype`'s signature has no error channel (bench bins consume
-    // the outcome directly).
-    controller
-        .provision_zone("home")
-        .expect("fresh controller has no zones"); // imcf-lint: allow(L001)
+    let zones = [String::from("home")];
+    let controller = LocalController::with_zones(ControllerConfig::default(), calendar, &zones)?;
+    let mut deployment = Deployment::new(controller);
 
     // The free-running thermal twin provides the unactuated ambient.
     let mut twin = RoomThermalModel::flat(18.0);
     let room_light = RoomLight::typical();
 
-    let mut owners = OwnerStats::default();
-    let mut ce_sum = 0.0;
-    let mut instances = 0u64;
-    let mut delivered = 0u64;
-    let mut blocked = 0u64;
     let start = Stopwatch::start();
-
-    for h in 0..WEEK_HOURS {
+    let out = deployment.run(0..WEEK_HOURS, &zones, |h| {
         let sample = weather.sample(h);
         twin.step_free(sample.outdoor_c);
         let ambient_temp = twin.indoor_c;
         let ambient_light = room_light.perceived(sample.daylight);
 
-        let hour_of_day = calendar.hour_of_day(h);
         let mut candidates = Vec::new();
-        for rule in mrt.active_at_hour(hour_of_day) {
+        for rule in mrt.active_at_hour(calendar.hour_of_day(h)) {
             let (desired, ambient, class) = match rule.action {
                 Action::SetTemperature(v) => (v, ambient_temp, DeviceClass::Hvac),
                 Action::SetLight(v) => (v, ambient_light, DeviceClass::Light),
@@ -244,7 +158,7 @@ pub fn run_prototype(config: PrototypeConfig) -> PrototypeOutcome {
             };
             candidates.push(CandidateRule {
                 rule_id: rule.id,
-                zone: "home".into(),
+                zone: zones[0].clone(),
                 device_class: class,
                 owner: rule.owner.clone(),
                 priority: rule.priority,
@@ -256,39 +170,18 @@ pub fn run_prototype(config: PrototypeConfig) -> PrototypeOutcome {
                 ifttt_kwh: 0.0,
             });
         }
-        let slot = PlanningSlot::new(h, candidates, plan.hourly_budget(h));
-        let summary = controller.tick_with_errors(&slot).0;
-        delivered += summary.delivered;
-        blocked += summary.blocked;
+        PlanningSlot::new(h, candidates, plan.hourly_budget(h))
+    })?;
 
-        // Attribute convenience per owner: adopted rules cost nothing,
-        // dropped rules cost their ambient deficiency.
-        for candidate in &slot.candidates {
-            instances += 1;
-            let ce = if summary.adopted.contains(&candidate.rule_id) {
-                0.0
-            } else {
-                convenience_error_fraction(candidate.desired, candidate.ambient)
-            };
-            ce_sum += ce;
-            owners.record(&candidate.owner, ce);
-        }
-    }
-
-    let ft_seconds = start.elapsed().as_secs_f64();
-    PrototypeOutcome {
-        fe_kwh: controller.meter().total_kwh(),
-        fce_percent: if instances == 0 {
-            0.0
-        } else {
-            100.0 * ce_sum / instances as f64
-        },
-        per_resident: owners.table(),
-        ft_seconds,
-        ticks: WEEK_HOURS,
-        delivered,
-        blocked,
-    }
+    Ok(PrototypeOutcome {
+        fe_kwh: out.energy_kwh,
+        fce_percent: out.fce_percent,
+        per_resident: deployment.owners.table(),
+        ft_seconds: start.elapsed().as_secs_f64(),
+        ticks: out.ticks,
+        delivered: out.delivered,
+        blocked: out.blocked,
+    })
 }
 
 #[cfg(test)]
@@ -310,7 +203,7 @@ mod tests {
 
     #[test]
     fn prototype_stays_under_the_weekly_limit() {
-        let out = run_prototype(PrototypeConfig::default());
+        let out = run_prototype(PrototypeConfig::default()).unwrap();
         assert!(out.fe_kwh <= 165.0 + 1e-6, "fe = {}", out.fe_kwh);
         assert!(out.fe_kwh > 20.0, "suspiciously low energy: {}", out.fe_kwh);
         assert_eq!(out.ticks, WEEK_HOURS);
@@ -319,7 +212,7 @@ mod tests {
 
     #[test]
     fn prototype_convenience_error_is_low() {
-        let out = run_prototype(PrototypeConfig::default());
+        let out = run_prototype(PrototypeConfig::default()).unwrap();
         assert!(out.fce_percent < 15.0, "fce = {}", out.fce_percent);
         assert_eq!(out.per_resident.len(), 3);
         for (owner, fce) in &out.per_resident {
@@ -329,8 +222,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = run_prototype(PrototypeConfig::default());
-        let b = run_prototype(PrototypeConfig::default());
+        let a = run_prototype(PrototypeConfig::default()).unwrap();
+        let b = run_prototype(PrototypeConfig::default()).unwrap();
         assert_eq!(a.fe_kwh, b.fe_kwh);
         assert_eq!(a.fce_percent, b.fce_percent);
     }
@@ -340,11 +233,13 @@ mod tests {
         let winter = run_prototype(PrototypeConfig {
             month: 1,
             ..Default::default()
-        });
+        })
+        .unwrap();
         let summer = run_prototype(PrototypeConfig {
             month: 7,
             ..Default::default()
-        });
+        })
+        .unwrap();
         assert!(
             summer.fe_kwh < winter.fe_kwh,
             "summer {} vs winter {}",

@@ -34,26 +34,18 @@
 use crate::controller::{
     ControllerCheckpoint, ControllerConfig, ControllerError, LocalController, TickSummary,
 };
-use crate::supervisor::TickWatchdog;
-use imcf_chaos::{BreakerBank, BreakerConfig, FaultPlan, RetryPolicy};
+use crate::deployment::{zone_names, Deployment, ZoneSlots};
+use imcf_chaos::{BreakerBank, FaultPlan};
 use imcf_core::calendar::PaperCalendar;
-use imcf_core::candidate::{CandidateRule, PlanningSlot};
 use imcf_core::planner::PlannerConfig;
 use imcf_devices::command::Command;
-use imcf_devices::energy::{DeviceEnergyModel, HvacModel, LightModel};
 use imcf_devices::registry::DeviceRegistry;
-use imcf_rules::action::DeviceClass;
-use imcf_rules::meta_rule::RuleId;
-use imcf_sim::illuminance::RoomLight;
-use imcf_sim::thermal::RoomThermalModel;
-use imcf_sim::weather::WeatherApi;
 use imcf_store::commit::SharedTable;
 use imcf_store::Table;
 use imcf_telemetry::Stopwatch;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use std::time::Duration;
 
 /// Store-directory table holding [`ControllerCheckpoint`] rows.
 pub const CHECKPOINT_TABLE: &str = "checkpoint";
@@ -296,10 +288,13 @@ pub fn audit_journal(dir: &Path) -> Result<JournalAudit, ControllerError> {
 /// Configuration of a recoverable controller run (the crash soak's unit
 /// of work). The workload is the soak workload minus sensor outages:
 /// pure in `(seed, tick)`, so an uncrashed run at the same seed is the
-/// byte-exact reference for a crashed-and-restored one.
+/// byte-exact reference for a crashed-and-restored one. The run starts in
+/// January, with the default retry policy and breaker tuning, and each
+/// tick runs under a 30 s stuck-tick watchdog.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryConfig {
-    /// Run seed (weather, planner, command/trace identity).
+    /// Run seed: weather, and the planner, which command and trace ids
+    /// derive from.
     pub seed: u64,
     /// Ticks (hours) to run in total.
     pub ticks: u64,
@@ -310,16 +305,8 @@ pub struct RecoveryConfig {
     pub checkpoint_every: u64,
     /// Device fault schedule (exercises the failed-command journal path).
     pub plan: FaultPlan,
-    /// Actuation retry policy.
-    pub retry: RetryPolicy,
-    /// Circuit-breaker tuning.
-    pub breaker: BreakerConfig,
     /// Weekly energy budget per zone, kWh.
     pub weekly_budget_kwh: f64,
-    /// 1-based month the run starts in.
-    pub month: u32,
-    /// Stuck-tick watchdog timeout, milliseconds (0 disables it).
-    pub watchdog_timeout_ms: u64,
 }
 
 impl Default for RecoveryConfig {
@@ -330,11 +317,7 @@ impl Default for RecoveryConfig {
             zones: 2,
             checkpoint_every: 8,
             plan: FaultPlan::disabled(0),
-            retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
             weekly_budget_kwh: 165.0,
-            month: 1,
-            watchdog_timeout_ms: 30_000,
         }
     }
 }
@@ -385,7 +368,7 @@ pub fn state_digest(controller: &LocalController, zones: &[String], ticks: u64) 
         energy_kwh: controller.meter().total_kwh(),
         rng_probe: controller.rng_probe(),
         item_states,
-        breakers: controller.checkpoint(ticks, zones).breakers,
+        breakers: controller.breakers().lock().clone(),
         journal_delivered: controller.journal().map_or(0, |j| j.delivered_count()),
         journal_failed: controller.journal().map_or(0, |j| j.failed_count()),
         journal_ticks: controller.journal().map_or(0, |j| j.sealed_ticks()),
@@ -428,27 +411,24 @@ pub fn open_or_restore(
         .map(|(_, cp)| cp.clone());
     let checkpoints = table.into_shared();
 
-    let zones: Vec<String> = (0..config.zones).map(|z| format!("zone{z}")).collect();
     let (mut controller, start_tick, resumed_from) = match latest {
         Some(cp) => {
             let start = cp.next_tick;
             (LocalController::restore(&cp)?, start, Some(start))
         }
         None => {
-            let mut fresh = LocalController::new(
+            let planner = PlannerConfig {
+                seed: config.seed,
+                ..PlannerConfig::default()
+            };
+            let fresh = LocalController::with_zones(
                 ControllerConfig {
-                    planner: PlannerConfig {
-                        seed: config.seed,
-                        ..PlannerConfig::default()
-                    },
-                    retry: config.retry,
-                    breaker: config.breaker,
+                    planner,
+                    ..ControllerConfig::default()
                 },
-                PaperCalendar::starting_in(config.month),
-            );
-            for zone in &zones {
-                fresh.provision_zone(zone)?;
-            }
+                PaperCalendar::january_start(),
+                &zone_names(config.zones),
+            )?;
             (fresh, 0, None)
         }
     };
@@ -470,22 +450,6 @@ pub fn open_or_restore(
         restore_micros,
         checkpoints,
     })
-}
-
-/// Makes a checkpoint durable through the group-commit path, with
-/// crashpoints bracketing the durability point.
-fn write_checkpoint(
-    checkpoints: &SharedTable<ControllerCheckpoint>,
-    checkpoint: ControllerCheckpoint,
-) -> Result<(), ControllerError> {
-    checkpoints.insert(checkpoint)?;
-    imcf_chaos::crashpoint::reached("checkpoint.pre_sync");
-    checkpoints.sync()?;
-    imcf_chaos::crashpoint::reached("checkpoint.post_sync");
-    imcf_telemetry::global()
-        .counter("controller.checkpoints")
-        .inc();
-    Ok(())
 }
 
 /// The outcome of one (possibly resumed) recoverable run.
@@ -519,107 +483,39 @@ pub struct RecoveryOutcome {
 /// checkpointing every `config.checkpoint_every` ticks. Kill this at any
 /// instruction and a re-invocation on the same `dir` finishes the run
 /// with the exactly-once guarantees documented at module level.
+///
+/// Fails with [`ControllerError::Rewind`] when `dir` is already
+/// checkpointed past `config.ticks`, leaving the store as it was.
 pub fn run_recoverable(
     config: &RecoveryConfig,
     dir: &Path,
 ) -> Result<RecoveryOutcome, ControllerError> {
-    let calendar = PaperCalendar::starting_in(config.month);
-    let weather = WeatherApi::new(
-        imcf_traces::generator::ClimateModel::mediterranean(),
-        calendar,
-        config.seed,
-    );
-    let hvac = HvacModel::split_unit_flat();
-    let light_model = LightModel::led_array();
-    let zones: Vec<String> = (0..config.zones).map(|z| format!("zone{z}")).collect();
-    let hourly_budget = config.weekly_budget_kwh * config.zones as f64 / (7.0 * 24.0);
-
-    let OpenedController {
-        mut controller,
-        start_tick,
-        resumed_from,
-        replayed_commands,
-        restore_micros,
-        checkpoints,
-    } = open_or_restore(config, dir)?;
-    controller.attach_chaos(config.plan.clone());
-
+    let opened = open_or_restore(config, dir)?;
+    let zones = zone_names(config.zones);
+    let mut slots = ZoneSlots::new(config.seed, &zones, config.weekly_budget_kwh, None);
     // The twins are pure in (seed, tick): re-stepping them to the resume
     // point is the deterministic alternative to checkpointing them.
-    let mut twins: Vec<RoomThermalModel> =
-        zones.iter().map(|_| RoomThermalModel::flat(18.0)).collect();
-    let room_light = RoomLight::typical();
-    for h in 0..start_tick {
-        let sample = weather.sample(h);
-        for twin in twins.iter_mut() {
-            twin.step_free(sample.outdoor_c);
-        }
+    for h in 0..opened.start_tick {
+        slots.slot(h);
     }
+    let mut deployment = Deployment::new(opened.controller)
+        .with_chaos(config.plan.clone())
+        .with_checkpoints(opened.checkpoints, config.checkpoint_every);
+    let out = deployment.run(opened.start_tick..config.ticks, &zones, |h| slots.slot(h))?;
 
-    let watchdog = (config.watchdog_timeout_ms > 0)
-        .then(|| TickWatchdog::start(Duration::from_millis(config.watchdog_timeout_ms)));
-    let mut checkpoints_written = 0;
-    let mut storage_errors = 0;
-    for h in start_tick..config.ticks {
-        let _tick_guard = watchdog.as_ref().map(|w| w.guard(h));
-        let sample = weather.sample(h);
-        let mut candidates = Vec::new();
-        let daylight = room_light.perceived(sample.daylight);
-        for (zi, (zone, twin)) in zones.iter().zip(twins.iter_mut()).enumerate() {
-            twin.step_free(sample.outdoor_c);
-            let ambient = twin.indoor_c;
-            candidates.push(
-                CandidateRule::convenience(
-                    RuleId((zi * 2) as u32),
-                    22.0,
-                    ambient,
-                    hvac.hourly_kwh(22.0, ambient),
-                )
-                .in_zone(zone),
-            );
-            candidates.push(
-                CandidateRule::convenience(
-                    RuleId((zi * 2 + 1) as u32),
-                    50.0,
-                    daylight,
-                    light_model.hourly_kwh(50.0, daylight),
-                )
-                .in_zone(zone)
-                .for_class(DeviceClass::Light),
-            );
-        }
-        let slot = PlanningSlot::new(h, candidates, hourly_budget);
-        let (_, errors) = controller.tick_with_errors(&slot);
-        storage_errors += errors
-            .iter()
-            .filter(|e| matches!(e, ControllerError::Storage { .. }))
-            .count() as u64;
-
-        if config.checkpoint_every > 0
-            && (h + 1) % config.checkpoint_every == 0
-            && h + 1 < config.ticks
-        {
-            write_checkpoint(&checkpoints, controller.checkpoint(h + 1, &zones))?;
-            checkpoints_written += 1;
-        }
-    }
-    // Terminal checkpoint: marks the run complete (next_tick == ticks).
-    write_checkpoint(&checkpoints, controller.checkpoint(config.ticks, &zones))?;
-    checkpoints_written += 1;
-
-    let digest = state_digest(&controller, &zones, config.ticks);
+    let controller = &deployment.controller;
     Ok(RecoveryOutcome {
         seed: config.seed,
         ticks: config.ticks,
         zones: config.zones,
-        resumed_from,
-        replayed_commands,
+        resumed_from: opened.resumed_from,
+        replayed_commands: opened.replayed_commands,
         deduped: controller.journal().map_or(0, |j| j.deduped()),
-        checkpoints_written,
-        restore_micros,
-        storage_errors,
-        watchdog_trips: watchdog.as_ref().map_or(0, |w| w.trips()),
-        digest,
+        checkpoints_written: deployment.checkpoints_written,
+        restore_micros: opened.restore_micros,
+        storage_errors: out.storage_errors,
+        watchdog_trips: deployment.watchdog_trips(),
+        digest: state_digest(controller, &zones, config.ticks),
     })
 }
 
@@ -748,6 +644,38 @@ mod tests {
         let resumed = run_recoverable(&faulty(40), dir.path()).unwrap();
         assert_eq!(
             serde_json::to_string(&resumed.digest).unwrap(),
+            serde_json::to_string(&reference.digest).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_shorter_resume_is_refused_instead_of_rewinding_the_store() {
+        let faulty = |ticks| RecoveryConfig {
+            ticks,
+            plan: FaultPlan::commands(9, 0.2),
+            ..config(9)
+        };
+        let ref_dir = tempfile::tempdir().unwrap();
+        let reference = run_recoverable(&faulty(48), ref_dir.path()).unwrap();
+
+        let dir = tempfile::tempdir().unwrap();
+        run_recoverable(&faulty(48), dir.path()).unwrap();
+        // The store is checkpointed at 48: a 23-tick run has nothing to
+        // execute and must not write a terminal checkpoint at 23.
+        let refused = run_recoverable(&faulty(23), dir.path())
+            .map(|out| out.digest.next_tick)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            refused.contains("48") && refused.contains("23"),
+            "{refused}"
+        );
+        assert!(run_complete(dir.path(), 48).unwrap());
+
+        let again = run_recoverable(&faulty(48), dir.path()).unwrap();
+        assert_eq!(again.resumed_from, Some(48));
+        assert_eq!(
+            serde_json::to_string(&again.digest).unwrap(),
             serde_json::to_string(&reference.digest).unwrap()
         );
     }

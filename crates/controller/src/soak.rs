@@ -5,25 +5,16 @@
 //! through the registry injector, WAL write/fsync faults and a torn tail
 //! through the store hook, sensor freezes through an
 //! [`imcf_traces::outage::OutagePlan`], and a periodically stalled bus
-//! subscriber — then drives [`LocalController::tick_with_errors`] and
-//! reports what survived. Everything is sim-time deterministic: the same
-//! [`SoakConfig`] produces a byte-identical [`SoakOutcome`] regardless of
-//! process, thread count or query order, which is what lets the
-//! `chaos_soak` bench sweep fault rates under `imcf-pool` and still
-//! compare results exactly.
+//! subscriber — then drives a [`Deployment`] and reports what survived.
+//! Everything is sim-time deterministic: the same [`SoakConfig`] produces
+//! a byte-identical [`SoakOutcome`] regardless of process, thread count or
+//! query order, which is what lets the `chaos_soak` bench sweep fault
+//! rates under `imcf-pool` and still compare results exactly.
 
-use crate::controller::{journal_tick, thing_uid, ControllerConfig, LocalController, TickSummary};
-use imcf_chaos::{BreakerConfig, FaultPlan, RetryPolicy, StoreOp};
+use crate::controller::{ControllerConfig, LocalController, TickSummary};
+use crate::deployment::{zone_names, Deployment, ZoneSlots};
+use imcf_chaos::{FaultPlan, StoreOp};
 use imcf_core::calendar::PaperCalendar;
-use imcf_core::candidate::{CandidateRule, PlanningSlot};
-use imcf_core::objective::convenience_error_fraction;
-use imcf_core::planner::PlannerConfig;
-use imcf_devices::energy::{DeviceEnergyModel, HvacModel, LightModel};
-use imcf_rules::action::DeviceClass;
-use imcf_rules::meta_rule::RuleId;
-use imcf_sim::illuminance::RoomLight;
-use imcf_sim::thermal::RoomThermalModel;
-use imcf_sim::weather::WeatherApi;
 use imcf_store::{Table, WalOp};
 use imcf_traces::outage::OutagePlan;
 use serde::{Deserialize, Serialize};
@@ -31,11 +22,14 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// The soak journal's table name.
+const SOAK_JOURNAL: &str = "soak_journal";
+
 /// Soak scenario configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SoakConfig {
-    /// Run seed (weather, planner jitter and — unless overridden — the
-    /// fault plan's own seed is expected to match).
+    /// Run seed: weather and sensor outages (the fault plan carries its
+    /// own seed, expected to match). The planner seed stays 0.
     pub seed: u64,
     /// Ticks (hours) to run.
     pub ticks: u64,
@@ -43,16 +37,10 @@ pub struct SoakConfig {
     pub zones: usize,
     /// The fault schedule.
     pub plan: FaultPlan,
-    /// Actuation retry policy.
-    pub retry: RetryPolicy,
-    /// Circuit-breaker tuning.
-    pub breaker: BreakerConfig,
     /// Expected sensor outages per week (0 disables the outage plan).
     pub outage_rate_per_week: f64,
     /// Weekly energy budget per zone, kWh.
     pub weekly_budget_kwh: f64,
-    /// 1-based month the soak starts in.
-    pub month: u32,
     /// Raw points retained per obs series (0 disables the observability
     /// plane — no sampling, no alert evaluation).
     pub obs_capacity: usize,
@@ -65,18 +53,16 @@ impl Default for SoakConfig {
             ticks: 168,
             zones: 3,
             plan: FaultPlan::disabled(0),
-            retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
             outage_rate_per_week: 0.0,
             weekly_budget_kwh: 165.0,
-            month: 1,
             obs_capacity: 256,
         }
     }
 }
 
-/// What a soak run survived. Plain data, no wall-clock fields — byte
-/// identical for identical configs.
+/// What a deployment run survived: the record every [`Deployment`] run
+/// accumulates. Plain data, no wall-clock fields — byte identical for
+/// identical configs.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SoakOutcome {
     /// The run seed.
@@ -103,7 +89,7 @@ pub struct SoakOutcome {
     /// Breakers that opened at least once and ended the run closed (the
     /// half-open probe succeeded).
     pub breakers_recovered: u64,
-    /// Journal inserts that failed with a storage error.
+    /// Tick- and command-journal writes that failed with a storage error.
     pub storage_errors: u64,
     /// Rows readable from the journal after the final (possibly torn)
     /// reopen; 0 without a journal.
@@ -138,74 +124,29 @@ pub struct SoakOutcome {
 /// journaled to a WAL-backed table wired with the plan's store faults,
 /// and the journal is torn + reopened at the end per the plan.
 pub fn run_soak(config: &SoakConfig, journal_dir: Option<&Path>) -> SoakOutcome {
-    let calendar = PaperCalendar::starting_in(config.month);
-    let weather = WeatherApi::new(
-        imcf_traces::generator::ClimateModel::mediterranean(),
-        calendar,
-        config.seed,
-    );
-    let hvac = HvacModel::split_unit_flat();
-    let light_model = LightModel::led_array();
-
-    let mut controller = LocalController::new(
-        ControllerConfig {
-            planner: PlannerConfig::default(),
-            retry: config.retry,
-            breaker: config.breaker,
-        },
-        calendar,
-    );
-    let zones: Vec<String> = (0..config.zones).map(|z| format!("zone{z}")).collect();
-    for zone in &zones {
-        // Fresh controller, fresh zone names: collisions are unreachable.
-        controller
-            .provision_zone(zone)
-            .expect("fresh controller has no zones"); // imcf-lint: allow(L001)
-    }
-    controller.attach_chaos(config.plan.clone());
-
-    // The observability plane samples a *private* mirror registry (fed
-    // from tick summaries and breaker snapshots, all virtual-clock
-    // state), not the process-global one — the global registry is shared
-    // across concurrently running soaks, which would break the
-    // byte-identical guarantee.
-    let mirror = imcf_telemetry::Registry::new();
-    // Metric handles hoisted out of the tick loop: registry lookups
-    // allocate a key per call, and the obs tick path is measured against
-    // a ≤5 %-of-tick overhead budget (`obs_bench`).
-    let mirror_breaker_open = mirror.counter("breaker.open");
-    let mirror_breaker_open_now = mirror.gauge("breaker.open_now");
-    let mirror_retries = mirror.counter("actuation.retries");
-    let mirror_gave_up = mirror.counter("actuation.gave_up");
-    let mut obs = if config.obs_capacity > 0 {
-        let obs_config = imcf_obs::ObsConfig {
-            capacity: config.obs_capacity,
-            persist_every: 0,
-            ..imcf_obs::ObsConfig::default()
-        };
-        // The stock rules validate against the catalog by construction
-        // (pinned by imcf-obs tests); a failure here just disables the
-        // plane rather than killing the soak.
-        imcf_obs::ObsEngine::in_memory(obs_config, imcf_obs::default_rules()).ok()
-    } else {
-        None
+    // A soak-level failure (a zone clash, an unusable journal directory)
+    // is an operator error, not a survivability finding: report it in the
+    // outcome instead of panicking.
+    let refuse = |error: String| SoakOutcome {
+        seed: config.seed,
+        error: Some(error),
+        ..SoakOutcome::default()
     };
-    let mut breaker_opens_seen = 0u64;
-
-    // The chaos subscriber: drains the bus except on stalled ticks, so
-    // backlog builds and must be absorbed without blocking publishers.
-    let rx = controller.bus().subscribe();
-
-    let outage = (config.outage_rate_per_week > 0.0)
-        .then(|| OutagePlan::sample(config.ticks, config.outage_rate_per_week, 6, config.seed));
-
-    // Optional WAL-backed journal with injected store faults. An
-    // unusable journal directory (missing parent, a file in the way, no
-    // permissions) is an operator error, not a soak survivability
-    // finding: report it in the outcome instead of panicking.
-    let mut journal: Option<Table<TickSummary>> = None;
+    let zones = zone_names(config.zones);
+    let controller = match LocalController::with_zones(
+        ControllerConfig::default(),
+        PaperCalendar::january_start(),
+        &zones,
+    ) {
+        Ok(controller) => controller,
+        Err(e) => return refuse(e.to_string()),
+    };
+    let mut deployment = Deployment::new(controller).with_chaos(config.plan.clone());
+    if config.obs_capacity > 0 {
+        deployment = deployment.with_obs(config.obs_capacity);
+    }
     if let Some(dir) = journal_dir {
-        match Table::open(dir, "soak_journal") {
+        match Table::open(dir, SOAK_JOURNAL) {
             Ok(mut table) => {
                 let plan = config.plan.clone();
                 let op_index = Arc::new(AtomicU64::new(0));
@@ -223,177 +164,37 @@ pub fn run_soak(config: &SoakConfig, journal_dir: Option<&Path>) -> SoakOutcome 
                         std::io::Error::other(fault.kind())
                     })
                 });
-                journal = Some(table);
+                deployment = deployment.with_journal(table);
             }
             Err(e) => {
-                return SoakOutcome {
-                    seed: config.seed,
-                    error: Some(format!(
-                        "cannot open soak journal in `{}`: {e}",
-                        dir.display()
-                    )),
-                    ..SoakOutcome::default()
-                };
+                return refuse(format!(
+                    "cannot open soak journal in `{}`: {e}",
+                    dir.display()
+                ))
             }
         }
     }
 
-    // One free-running thermal twin and light model per zone; outage
-    // windows freeze the *sensor reading* at its last healthy value while
-    // the twin keeps evolving underneath.
-    let mut twins: Vec<RoomThermalModel> =
-        zones.iter().map(|_| RoomThermalModel::flat(18.0)).collect();
-    let room_light = RoomLight::typical();
-    let mut frozen_temp: Vec<f64> = vec![18.0; zones.len()];
-    let mut frozen_light: f64 = 0.0;
-
-    let hourly_budget = config.weekly_budget_kwh * config.zones as f64 / (7.0 * 24.0);
-
-    let mut out = SoakOutcome {
-        seed: config.seed,
-        ticks: config.ticks,
-        ..SoakOutcome::default()
+    let outage = (config.outage_rate_per_week > 0.0)
+        .then(|| OutagePlan::sample(config.ticks, config.outage_rate_per_week, 6, config.seed));
+    let mut slots = ZoneSlots::new(config.seed, &zones, config.weekly_budget_kwh, outage);
+    let mut out = match deployment.run(0..config.ticks, &zones, |h| slots.slot(h)) {
+        Ok(out) => out,
+        Err(e) => return refuse(e.to_string()),
     };
-    let mut ce_sum = 0.0;
-
-    for h in 0..config.ticks {
-        let sample = weather.sample(h);
-        let frozen = outage.as_ref().is_some_and(|o| o.covers(h));
-        for (zi, twin) in twins.iter_mut().enumerate() {
-            twin.step_free(sample.outdoor_c);
-            if !frozen {
-                frozen_temp[zi] = twin.indoor_c;
-            }
-        }
-        if !frozen {
-            frozen_light = room_light.perceived(sample.daylight);
-        }
-
-        let mut candidates = Vec::new();
-        for (zi, zone) in zones.iter().enumerate() {
-            let ambient_temp = frozen_temp[zi];
-            candidates.push(
-                CandidateRule::convenience(
-                    RuleId((zi * 2) as u32),
-                    22.0,
-                    ambient_temp,
-                    hvac.hourly_kwh(22.0, ambient_temp),
-                )
-                .in_zone(zone),
-            );
-            candidates.push(
-                CandidateRule::convenience(
-                    RuleId((zi * 2 + 1) as u32),
-                    50.0,
-                    frozen_light,
-                    light_model.hourly_kwh(50.0, frozen_light),
-                )
-                .in_zone(zone)
-                .for_class(DeviceClass::Light),
-            );
-        }
-        let slot = PlanningSlot::new(h, candidates, hourly_budget);
-        let (summary, errors) = controller.tick_with_errors(&slot);
-
-        out.delivered += summary.delivered;
-        out.blocked += summary.blocked;
-        out.failed += summary.failed;
-        out.retried += summary.retried;
-        out.quarantined += summary.quarantined;
-        debug_assert_eq!(errors.len() as u64, summary.failed);
-
-        // Convenience attribution over the *original* slot: a candidate
-        // the device never honoured (dropped, quarantined or failed)
-        // costs its ambient deficiency.
-        let failed_things: std::collections::BTreeSet<&str> = errors
-            .iter()
-            .filter_map(|e| match e {
-                crate::controller::ControllerError::Actuation { thing, .. } => Some(thing.as_str()),
-                _ => None,
-            })
-            .collect();
-        for candidate in &slot.candidates {
-            out.instances += 1;
-            let failed = thing_uid(&candidate.zone, candidate.device_class)
-                .is_some_and(|uid| failed_things.contains(uid.as_str()));
-            let honoured = summary.adopted.contains(&candidate.rule_id) && !failed;
-            if !honoured {
-                ce_sum += convenience_error_fraction(candidate.desired, candidate.ambient);
-            }
-        }
-
-        if let Some(table) = journal.as_mut() {
-            if journal_tick(table, &summary).is_err() {
-                out.storage_errors += 1;
-            }
-        }
-
-        if let Some(engine) = obs.as_mut() {
-            let (opens_total, open_now) = controller.breaker_totals();
-            let newly_opened = opens_total.saturating_sub(breaker_opens_seen);
-            breaker_opens_seen = opens_total;
-            if newly_opened > 0 {
-                mirror_breaker_open.add(newly_opened);
-            }
-            mirror_breaker_open_now.set(open_now as f64);
-            mirror_retries.add(summary.retried);
-            mirror_gave_up.add(summary.failed);
-            engine.observe(h, &mirror);
-        }
-
-        if config.plan.bus_stalled(h) {
-            out.stalled_ticks += 1;
-        } else {
-            out.max_bus_backlog = out.max_bus_backlog.max(rx.len() as u64);
-            for _ in rx.try_iter() {}
-        }
-    }
-
-    if let Some(engine) = obs.as_ref() {
-        let stats = engine.stats();
-        out.alerts_fired = stats.alerts_fired;
-        out.alert_transitions = stats.alert_transitions;
-        out.alert_events = mirror
-            .events()
-            .into_iter()
-            .filter(|e| e.name.starts_with("alert."))
-            .map(|e| {
-                let rule = e
-                    .labels
-                    .iter()
-                    .find(|(k, _)| k == "alert")
-                    .map(|(_, v)| v.as_str())
-                    .unwrap_or("?");
-                format!("{}({rule})", e.name)
-            })
-            .collect();
-    }
-
-    out.faults_injected = controller.registry().failed_count();
-    for snap in controller.breaker_snapshots() {
-        out.breaker_opens += snap.times_opened;
-        if snap.times_opened > 0 && snap.state == imcf_chaos::BreakerState::Closed {
-            out.breakers_recovered += 1;
-        }
-    }
-    out.energy_kwh = controller.meter().total_kwh();
-    out.fce_percent = if out.instances == 0 {
-        0.0
-    } else {
-        100.0 * ce_sum / out.instances as f64
-    };
+    out.seed = config.seed;
 
     // Tear the journal's WAL tail per the plan and prove a clean reopen.
-    drop(journal);
+    drop(deployment);
     if let Some(dir) = journal_dir {
         if let Some(bytes) = config.plan.torn_tail_bytes(0) {
             // Tear the *highest-seq* segment — that is the active tail;
             // earlier (sealed) segments are never written again.
-            let wal_path = imcf_store::segment::segment_files(dir, "soak_journal")
+            let wal_path = imcf_store::segment::segment_files(dir, SOAK_JOURNAL)
                 .ok()
                 .and_then(|files| files.into_iter().next_back())
                 .map(|(_, path)| path)
-                .unwrap_or_else(|| dir.join("soak_journal.wal"));
+                .unwrap_or_else(|| dir.join(format!("{SOAK_JOURNAL}.wal")));
             if let Ok(meta) = std::fs::metadata(&wal_path) {
                 let new_len = meta.len().saturating_sub(bytes);
                 if let Ok(file) = std::fs::OpenOptions::new().write(true).open(&wal_path) {
@@ -410,7 +211,7 @@ pub fn run_soak(config: &SoakConfig, journal_dir: Option<&Path>) -> SoakOutcome 
         // The whole point of the WAL is that a torn tail reopens cleanly;
         // if it does not, that is a store bug the outcome must surface —
         // still not worth killing the process that holds the counters.
-        match Table::<TickSummary>::open(dir, "soak_journal") {
+        match Table::<TickSummary>::open(dir, SOAK_JOURNAL) {
             Ok(reopened) => out.journal_rows = reopened.len() as u64,
             Err(e) => {
                 out.error = Some(format!(

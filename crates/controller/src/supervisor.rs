@@ -15,9 +15,10 @@
 //! The watchdog never kills the tick — detection is its job; the process
 //! supervisor (or the crash soak's parent) owns the kill decision.
 
+use imcf_telemetry::Stopwatch;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Poison-tolerant lock (a panicking tick must not wedge the watchdog).
 fn lock(m: &Mutex<WatchdogState>) -> MutexGuard<'_, WatchdogState> {
@@ -26,7 +27,7 @@ fn lock(m: &Mutex<WatchdogState>) -> MutexGuard<'_, WatchdogState> {
 
 struct WatchdogState {
     /// The armed tick and when it armed, `None` between ticks.
-    armed: Option<(u64, Instant)>,
+    armed: Option<(u64, Stopwatch)>,
     /// The armed tick already tripped (one trip per tick).
     tripped: bool,
     shutdown: bool,
@@ -86,7 +87,7 @@ impl TickWatchdog {
     /// duration; if it lives past the timeout, the watchdog trips once.
     pub fn guard(&self, tick: u64) -> WatchdogGuard<'_> {
         let mut state = lock(&self.shared.state);
-        state.armed = Some((tick, Instant::now()));
+        state.armed = Some((tick, Stopwatch::start()));
         state.tripped = false;
         self.shared.changed.notify_all();
         WatchdogGuard {
@@ -155,6 +156,7 @@ fn watch(shared: &WatchdogShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn stuck_tick_trips_once_and_healthy_ticks_do_not() {

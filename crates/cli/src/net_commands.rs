@@ -2,9 +2,10 @@
 
 use crate::args::ArgSpec;
 use imcf_controller::api::Router;
-use imcf_controller::cloud::RateLimit;
 use imcf_controller::controller::{ControllerConfig, LocalController};
+use imcf_controller::zone_names;
 use imcf_core::calendar::PaperCalendar;
+use imcf_net::limiter::RateLimit;
 use imcf_net::loadgen::{self, LoadConfig};
 use imcf_net::server::NetConfig;
 use imcf_obs::{default_rules, ObsConfig, ObsEngine};
@@ -56,20 +57,26 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let max_requests_per_conn = parsed.get_u64("max-requests-per-conn", 1000)?.max(1) as u32;
     let burst = parsed.get_u64("burst", 0)?;
     let refill_per_sec = parsed.get_f64("refill-per-sec", 10.0)?;
+    // A NaN or infinite rate switches the bucket off and a negative one
+    // drains it by itself, so neither is a rate.
+    if !(refill_per_sec.is_finite() && refill_per_sec >= 0.0) {
+        return Err(format!(
+            "`--refill-per-sec` expects a finite, non-negative rate, found `{refill_per_sec}`"
+        ));
+    }
     let tick_ms = parsed.get_u64("tick-ms", 200)?.max(1);
     let demo_alert = matches!(parsed.get("demo-alert"), Some("1") | Some("true"));
     let rate_limit = (burst > 0).then_some(RateLimit {
         burst: burst.min(u64::from(u32::MAX)) as u32,
-        refill_per_tick: refill_per_sec,
+        refill_per_sec,
     });
 
-    let mut controller =
-        LocalController::new(ControllerConfig::default(), PaperCalendar::january_start());
-    for z in 0..zones {
-        controller
-            .provision_zone(&format!("zone{z}"))
-            .map_err(|e| format!("cannot provision zone{z}: {e}"))?;
-    }
+    let controller = LocalController::with_zones(
+        ControllerConfig::default(),
+        PaperCalendar::january_start(),
+        &zone_names(zones),
+    )
+    .map_err(|e| format!("cannot provision the demo home: {e}"))?;
     let engine = ObsEngine::in_memory(ObsConfig::default(), default_rules())
         .map_err(|e| format!("invalid alert rules: {e}"))?;
     let obs = Arc::new(Mutex::new(engine));
@@ -117,7 +124,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         "imcf-net: serving {zones} zone(s) on {} (max-conns {max_conns}, keep-alive cap {max_requests_per_conn}{})",
         handle.addr(),
         match rate_limit {
-            Some(l) => format!(", edge bucket {}+{}/s", l.burst, l.refill_per_tick),
+            Some(l) => format!(", edge bucket {}+{}/s", l.burst, l.refill_per_sec),
             None => String::from(", no edge rate limit"),
         }
     );

@@ -1,7 +1,7 @@
 //! End-to-end tests driving the compiled `imcf` binary.
 
 use std::io::Write;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn imcf() -> Command {
     Command::new(env!("CARGO_BIN_EXE_imcf"))
@@ -162,4 +162,27 @@ fn ecp_flat_profile() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("kWh/month"));
     assert!(text.contains("total"));
+}
+
+#[test]
+fn serve_rejects_a_refill_rate_that_is_not_finite_and_non_negative() {
+    // NaN and inf leave the edge bucket always full; -1 drains it by
+    // itself. Each must be a usage error before the server binds. (A
+    // server that did start would read EOF on stdin and exit cleanly.)
+    for bad in ["NaN", "inf", "-1"] {
+        let out = imcf()
+            .args(["serve", "--port", "0", "--burst", "2"])
+            .args(["--refill-per-sec", bad])
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "`{bad}` was accepted: {stdout}");
+        assert!(stderr.contains("--refill-per-sec"), "stderr: {stderr}");
+        assert!(
+            !stdout.contains("serving"),
+            "bound before rejecting: {stdout}"
+        );
+    }
 }

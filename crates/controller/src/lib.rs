@@ -8,20 +8,16 @@
 //!   (the paper configures real `iptables` DROP rules; ours filters the
 //!   in-process device network with the same append/insert/policy
 //!   semantics);
-//! * [`scheduler`] — the crontab substitute that triggers the EP
-//!   periodically;
-//! * [`api`] — the openHAB-style REST query/command surface;
+//! * [`api`] — the openHAB-style REST query/command surface; `imcf-net`
+//!   serves it over HTTP and stands in for Fig. 3's Cloud Controller (CC);
 //! * [`bus`] — the event bus connecting APP/CC/LC components;
-//! * [`cloud`] — the Cloud Controller relay for out-of-home access
-//!   (Fig. 3's CC box);
 //! * [`config`] — the persistent resident/MRT configuration (the paper's
 //!   MariaDB layer);
 //! * [`controller`] — the IMCF orchestration loop: AP → EP → translate the
 //!   plan into admit/block decisions → actuate through the device registry;
 //! * [`deployment`] — the one driver that ticks a controller, with opt-in
-//!   chaos, tick-journal, checkpoint and obs attachments;
-//! * [`polling`] — trigger-condition-aware adaptive sensor polling (after
-//!   RT-IFTTT, the paper's related work [29]);
+//!   chaos, tick-journal, checkpoint and obs attachments; its one tick per
+//!   simulated hour stands in for the paper's cron job that fires the EP;
 //! * [`prototype`] — the week-long three-resident prototype deployment
 //!   (paper §III-F, Tables IV and V), a projection of one deployment run;
 //! * [`soak`] — the chaos soak harness: a deployment under an
@@ -35,20 +31,16 @@
 
 pub mod api;
 pub mod bus;
-pub mod cloud;
 pub mod config;
 pub mod controller;
 pub mod deployment;
 pub mod firewall;
-pub mod polling;
 pub mod prototype;
 pub mod recovery;
-pub mod scheduler;
 pub mod soak;
 pub mod supervisor;
 
 pub use bus::{Event, EventBus};
-pub use cloud::{CloudController, RateLimit, RelayError, RelayStats};
 pub use controller::{
     ControllerCheckpoint, ControllerConfig, ControllerError, LocalController, TickSummary,
 };
@@ -59,6 +51,5 @@ pub use recovery::{
     audit_journal, open_or_restore, run_complete, run_recoverable, state_digest, CommandJournal,
     JournalAudit, JournalRecord, RecoveryConfig, RecoveryOutcome, StateDigest,
 };
-pub use scheduler::{CronSpec, Scheduler};
 pub use soak::{run_soak, SoakConfig, SoakOutcome};
 pub use supervisor::TickWatchdog;

@@ -9,7 +9,6 @@
 //! Structure:
 //!
 //! * [`calendar`] — the paper's time conventions (12 × 31 × 24-hour years);
-//! * [`gregorian`] — real civil calendar support (extension);
 //! * [`ecp`] — Energy Consumption Profiles (paper Table I);
 //! * [`amortization`] — the AP subroutine: LAF, BLAF and EAF formulas
 //!   (paper Eqs. 3–5);
@@ -67,7 +66,6 @@ pub mod deferrable;
 pub mod ecp;
 pub mod fairshare;
 pub mod forecast;
-pub mod gregorian;
 pub mod init;
 pub mod metrics;
 pub mod neighborhood;

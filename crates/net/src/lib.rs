@@ -1,10 +1,11 @@
 //! `imcf-net` — the IMCF network plane.
 //!
-//! The paper's Meta-Control Firewall mediates between a cloud GUI and
-//! openHAB over REST; until this crate, the repo's REST surface
-//! ([`imcf_controller::api::Router`]) was purely in-process — no socket
-//! anywhere, so nothing could be load-tested or driven by an external
-//! client. `imcf-net` puts the router on a real wire:
+//! In the paper's Fig. 3 an APP outside the smart space reaches the Local
+//! Controller through the Cloud Controller (CC), a server on the public
+//! Internet that relays its REST requests. `imcf-net` is that CC: it puts
+//! the Local Controller's REST surface ([`imcf_controller::api::Router`])
+//! on a real wire, where it can be load-tested and driven by an external
+//! client:
 //!
 //! * [`server`] — a dependency-free threaded HTTP/1.1 server over
 //!   `std::net::TcpListener`: bounded worker/acceptor model with a hard
@@ -13,7 +14,8 @@
 //!   timeouts, per-home token-bucket enforcement at the edge (429), and
 //!   graceful shutdown that drains in-flight requests.
 //! * [`http`] — the wire parser and its fail-closed [`http::Limits`].
-//! * [`limiter`] — the PR-4 token bucket, wall-clock refilled, at the edge.
+//! * [`limiter`] — the per-home token bucket, wall-clock refilled, at the
+//!   edge.
 //! * [`client`] — a minimal blocking HTTP/1.1 client.
 //! * [`loadgen`] — the closed-loop load generator behind `imcf loadgen`,
 //!   reporting p50/p99/p999 from `imcf-telemetry` histograms.

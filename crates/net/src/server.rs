@@ -31,9 +31,8 @@
 //! is ever dropped.
 
 use crate::http::{self, Limits, ParseError, Request};
-use crate::limiter::{Admission, EdgeLimiter};
+use crate::limiter::{Admission, EdgeLimiter, RateLimit};
 use imcf_controller::api::{Response, Router, JSON_CONTENT_TYPE};
-use imcf_controller::cloud::RateLimit;
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -22,9 +22,12 @@ pub fn start(config: NetConfig) -> ServerHandle {
 pub fn start_with_readiness(
     config: NetConfig,
 ) -> (ServerHandle, Arc<std::sync::atomic::AtomicBool>) {
-    let mut controller =
-        LocalController::new(ControllerConfig::default(), PaperCalendar::january_start());
-    controller.provision_zone("den").expect("provision den");
+    let controller = LocalController::with_zones(
+        ControllerConfig::default(),
+        PaperCalendar::january_start(),
+        &["den".to_string()],
+    )
+    .expect("provision den");
     let router = Router::new(
         controller.registry(),
         controller.firewall(),

@@ -5,8 +5,8 @@
 mod common;
 
 use common::{quick_config, start, start_with_readiness, CLIENT_TIMEOUT};
-use imcf_controller::cloud::RateLimit;
 use imcf_net::client::Connection;
+use imcf_net::limiter::RateLimit;
 use imcf_net::NetConfig;
 use std::time::Duration;
 
@@ -122,7 +122,7 @@ fn edge_token_bucket_answers_429_before_the_router() {
         // edge regardless of route.
         rate_limit: Some(RateLimit {
             burst: 2,
-            refill_per_tick: 0.0,
+            refill_per_sec: 0.0,
         }),
         ..quick_config()
     });

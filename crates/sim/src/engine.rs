@@ -10,7 +10,7 @@
 //!   the convenience objective compares against (what the room would have
 //!   been had the rule been dropped),
 //!
-//! plus the weather process, an energy meter and the simulation clock. Each
+//! plus the weather process, an energy meter and an hour counter. Each
 //! [`LiveSimulation::step`] applies the hour's actuation decisions and
 //! returns the observations a controller needs to build the next slot.
 

@@ -3,7 +3,6 @@
 //! The paper evaluates IMCF by feeding real traces into a simulator; this
 //! crate is that simulator:
 //!
-//! * [`clock`] — the simulation clock over the paper calendar;
 //! * [`weather`] — a deterministic weather process standing in for the
 //!   "open weather API" the prototype queries (paper §III-F);
 //! * [`thermal`] — a first-order RC room model for live (non-trace) runs;
@@ -20,7 +19,6 @@
 //!   Planner consumes.
 
 pub mod building;
-pub mod clock;
 pub mod engine;
 pub mod grid;
 pub mod illuminance;
@@ -30,7 +28,6 @@ pub mod thermal;
 pub mod weather;
 
 pub use building::{Dataset, DatasetKind};
-pub use clock::SimClock;
 pub use engine::{LiveSimulation, LiveZone};
 pub use meter::EnergyMeter;
 pub use slots::SlotBuilder;

@@ -15,9 +15,7 @@
 //! * [`commit::SharedTable`] — a multi-writer handle whose `sync()`
 //!   batches concurrent callers into one fsync (group commit);
 //! * [`store::Store`] — a directory of named tables, the unit the Local
-//!   Controller opens at boot;
-//! * [`index::IndexedTable`] — typed secondary indexes with equality and
-//!   range queries.
+//!   Controller opens at boot.
 //!
 //! Durability model: every mutation is appended to the log before the
 //! in-memory index is updated; [`table::Table::snapshot`] /
@@ -35,7 +33,6 @@
 
 pub mod commit;
 pub mod crc32;
-pub mod index;
 pub mod segment;
 pub mod store;
 pub mod table;

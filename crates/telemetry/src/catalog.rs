@@ -263,12 +263,6 @@ pub const METRICS: &[MetricDef] = &[
         help: "trace trees retained in the flight-recorder ring",
     },
     MetricDef {
-        name: "relay.rate_limited",
-        kind: MetricKind::Counter,
-        labels: &[],
-        help: "cloud relay requests rejected by per-home rate limiting",
-    },
-    MetricDef {
         name: "rules.conflicts",
         kind: MetricKind::Counter,
         labels: &[],

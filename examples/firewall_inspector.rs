@@ -26,11 +26,13 @@ fn main() {
     .with_savings(0.30); // push the budget down to force drops
     let builder = SlotBuilder::new(&dataset, &plan);
 
-    let mut controller =
-        LocalController::new(ControllerConfig::default(), PaperCalendar::starting_in(10));
-    for zone in &dataset.trace.zones {
-        controller.provision_zone(&zone.zone).unwrap();
-    }
+    let zones: Vec<String> = dataset.trace.zones.iter().map(|z| z.zone.clone()).collect();
+    let mut controller = LocalController::with_zones(
+        ControllerConfig::default(),
+        PaperCalendar::starting_in(10),
+        &zones,
+    )
+    .unwrap();
     let events = controller.bus().subscribe();
 
     // Persist tick summaries like the paper's MariaDB layer would. Start

@@ -55,10 +55,10 @@ fn controller_over_dataset_slots_with_persistence_and_recovery() {
     );
     let builder = SlotBuilder::new(&dataset, &plan);
 
-    let mut controller = LocalController::new(ControllerConfig::default(), dataset.calendar());
-    for zone in &dataset.trace.zones {
-        controller.provision_zone(&zone.zone).unwrap();
-    }
+    let zones: Vec<String> = dataset.trace.zones.iter().map(|z| z.zone.clone()).collect();
+    let mut controller =
+        LocalController::with_zones(ControllerConfig::default(), dataset.calendar(), &zones)
+            .unwrap();
 
     let dir = tempfile::tempdir().unwrap();
     let total_energy;
@@ -97,8 +97,12 @@ fn controller_reserve_carries_budget_across_ticks() {
     );
     let builder = SlotBuilder::new(&dataset, &plan);
 
-    let mut controller = LocalController::new(ControllerConfig::default(), dataset.calendar());
-    controller.provision_zone("zone000").unwrap();
+    let mut controller = LocalController::with_zones(
+        ControllerConfig::default(),
+        dataset.calendar(),
+        &["zone000".to_string()],
+    )
+    .unwrap();
 
     // Hour 0 of the trace is midnight: no rules are active, so the whole
     // allowance banks into the reserve.
@@ -117,9 +121,12 @@ fn firewall_blocks_manual_overrides_of_dropped_zones() {
     use imcf::devices::thing::ThingUid;
     use imcf::rules::meta_rule::RuleId;
 
-    let mut controller =
-        LocalController::new(ControllerConfig::default(), PaperCalendar::january_start());
-    controller.provision_zone("den").unwrap();
+    let mut controller = LocalController::with_zones(
+        ControllerConfig::default(),
+        PaperCalendar::january_start(),
+        &["den".to_string()],
+    )
+    .unwrap();
     // A zero-budget slot forces the plan to drop the den's HVAC rule.
     let slot = PlanningSlot::new(
         0,

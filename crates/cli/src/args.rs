@@ -75,13 +75,16 @@ impl Parsed {
         self.options.get(name).map(String::as_str)
     }
 
-    /// A numeric option with a default.
+    /// A finite numeric option with a default. `NaN` and `inf` parse as
+    /// `f64` but are no temperature, rate or headroom.
     pub fn get_f64(&self, name: &str, default: f64) -> Result<f64, String> {
         match self.options.get(name) {
             None => Ok(default),
             Some(v) => v
-                .parse()
-                .map_err(|_| format!("`--{name}` expects a number, found `{v}`")),
+                .parse::<f64>()
+                .ok()
+                .filter(|x| x.is_finite())
+                .ok_or_else(|| format!("`--{name}` expects a finite number, found `{v}`")),
         }
     }
 
@@ -151,5 +154,16 @@ mod tests {
         let p = SPEC.parse(&argv(&["--seed", "abc"])).unwrap();
         assert!(p.get_u64("seed", 0).is_err());
         assert!(p.get_f64("seed", 0.0).is_err());
+    }
+
+    #[test]
+    fn float_options_must_be_finite() {
+        for bad in ["NaN", "inf", "-inf", "infinity"] {
+            let p = SPEC.parse(&argv(&["--months", bad])).unwrap();
+            let e = p.get_f64("months", 0.0).unwrap_err();
+            assert!(e.contains("`--months` expects a finite number"), "{e}");
+        }
+        let p = SPEC.parse(&argv(&["--months", "-2.5"])).unwrap();
+        assert_eq!(p.get_f64("months", 0.0).unwrap(), -2.5);
     }
 }

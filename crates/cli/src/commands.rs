@@ -3,21 +3,19 @@
 use crate::args::ArgSpec;
 use imcf_core::amortization::{AmortizationPlan, ApKind};
 use imcf_core::calendar::{PaperCalendar, HOURS_PER_MONTH};
-use imcf_core::candidate::{CandidateRule, PlanningSlot};
+use imcf_core::candidate::PlanningSlot;
 use imcf_core::ecp::Ecp;
 use imcf_core::init::InitStrategy;
 use imcf_core::planner::{EnergyPlanner, PlannerConfig};
-use imcf_rules::action::{Action, DeviceClass};
 use imcf_rules::conflict;
 use imcf_rules::env::EnvSnapshot;
-use imcf_rules::meta_rule::RuleClass;
 use imcf_rules::mrt::Mrt;
 use imcf_rules::parse::parse_mrt;
 use imcf_rules::workflow_parse::parse_workflow;
 use imcf_sim::building::{Dataset, DatasetKind};
-use imcf_sim::slots::SlotBuilder;
+use imcf_sim::slots::{candidate, mr_ecp, HourTables, Pricing, SlotBuilder};
 use imcf_traces::generator::{ClimateModel, TraceGenerator};
-use imcf_traces::series::ZoneTrace;
+use imcf_traces::series::Trace;
 
 fn read_file(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
@@ -65,15 +63,12 @@ pub fn validate(argv: &[String]) -> Result<(), String> {
         mrt.necessity_rules().count(),
         mrt.budget_rules().count(),
     );
-    // Worst-case pricing for the feasibility check: a flat split unit
-    // holding against a 15 °C gap.
-    let hvac = imcf_devices::energy::HvacModel::split_unit_flat();
-    let conflicts = conflict::analyze(&mrt, |rule| match rule.action {
-        Action::SetTemperature(v) => {
-            imcf_devices::energy::DeviceEnergyModel::hourly_kwh(&hvac, v, v - 15.0)
-        }
-        Action::SetLight(v) => v / 100.0 * 0.1,
-        Action::SetKwhLimit(_) => 0.0,
+    // Worst-case pricing for the feasibility check: the flat's devices
+    // holding each setpoint against a 15 °C gap.
+    let pricing = Pricing::flat();
+    let conflicts = conflict::analyze(&mrt, |rule| {
+        let v = rule.action.desired_value();
+        pricing.kwh(&rule.action, v - 15.0, 0.0)
     });
     if conflicts.is_empty() {
         println!("no conflicts detected");
@@ -91,62 +86,31 @@ pub fn validate(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn build_slots(
-    mrt: &Mrt,
-    zone: &ZoneTrace,
-    calendar: PaperCalendar,
-    horizon: u64,
-    budget_kwh: f64,
-    savings: f64,
-) -> Result<(AmortizationPlan, Vec<PlanningSlot>), String> {
-    let hvac = imcf_devices::energy::HvacModel::split_unit_flat();
-    let light = imcf_devices::energy::LightModel::led_array();
-    let price = |action: &Action, t: f64, l: f64| -> f64 {
-        use imcf_devices::energy::DeviceEnergyModel;
-        match action {
-            Action::SetTemperature(v) => hvac.hourly_kwh(*v, t),
-            Action::SetLight(v) => light.hourly_kwh(*v, l),
-            Action::SetKwhLimit(_) => 0.0,
-        }
-    };
-    // ECP from the MR schedule over this trace.
-    let trace = imcf_traces::series::Trace::new(calendar, vec![zone.clone()]);
-    let ecp = imcf_traces::ecp::derive_ecp(&trace, |_, z, h| {
-        let hod = calendar.hour_of_day(h);
-        mrt.active_at_hour(hod)
-            .iter()
-            .map(|r| price(&r.action, z.temperature.at(h), z.light.at(h)))
-            .sum()
-    });
-    let plan = AmortizationPlan::new(ApKind::Eaf, ecp, budget_kwh, horizon, calendar)
+/// One slot per hour of the one-zone `trace`, whose zone runs `mrt` priced
+/// on the flat's devices, under an EAF plan of `budget_kwh`.
+fn build_slots(mrt: &Mrt, trace: &Trace, budget_kwh: f64, savings: f64) -> Vec<PlanningSlot> {
+    let pricing = Pricing::flat();
+    let tables = [HourTables::compile(mrt)];
+    let horizon = trace.horizon_hours();
+    let ecp = mr_ecp(trace, &tables, &pricing);
+    let plan = AmortizationPlan::new(ApKind::Eaf, ecp, budget_kwh, horizon, trace.calendar)
         .with_savings(savings);
-    let mut slots = Vec::with_capacity(horizon as usize);
-    for h in 0..horizon {
-        let hod = calendar.hour_of_day(h);
-        let candidates = mrt
-            .active_at_hour(hod)
-            .into_iter()
-            .filter_map(|r| {
-                let (desired, ambient, class) = match r.action {
-                    Action::SetTemperature(v) => (v, zone.temperature.at(h), DeviceClass::Hvac),
-                    Action::SetLight(v) => (v, zone.light.at(h), DeviceClass::Light),
-                    Action::SetKwhLimit(_) => return None,
-                };
-                let mut c = CandidateRule::convenience(
-                    r.id,
-                    desired,
-                    ambient,
-                    price(&r.action, zone.temperature.at(h), zone.light.at(h)),
+    (0..horizon)
+        .map(|h| {
+            let hour_of_day = trace.calendar.hour_of_day(h);
+            let mut candidates = Vec::new();
+            for (zone, table) in trace.zones.iter().zip(&tables) {
+                let (temp, light) = (zone.temperature.at(h), zone.light.at(h));
+                candidates.extend(
+                    table
+                        .at(hour_of_day)
+                        .iter()
+                        .filter_map(|rule| candidate(rule, &zone.zone, temp, light, &pricing)),
                 );
-                c.owner = r.owner.clone();
-                c.device_class = class;
-                c.necessity = r.class == RuleClass::Necessity;
-                Some(c)
-            })
-            .collect();
-        slots.push(PlanningSlot::new(h, candidates, plan.hourly_budget(h)));
-    }
-    Ok((plan, slots))
+            }
+            PlanningSlot::new(h, candidates, plan.hourly_budget(h))
+        })
+        .collect()
 }
 
 /// `imcf plan <mrt-file>` — plan a horizon under the table's budget row.
@@ -183,11 +147,11 @@ pub fn plan(argv: &[String]) -> Result<(), String> {
         horizon_hours: horizon,
         seed,
     };
-    let zone = generator.generate_zone("home");
+    let trace = Trace::new(calendar, vec![generator.generate_zone("home")]);
 
     // Budget share proportional to the planned horizon.
     let budget_share = budget * horizon as f64 / budget_horizon as f64;
-    let (_plan, slots) = build_slots(&mrt, &zone, calendar, horizon, budget_share, savings)?;
+    let slots = build_slots(&mrt, &trace, budget_share, savings);
 
     let planner = EnergyPlanner::from_config(PlannerConfig {
         k,

@@ -57,11 +57,10 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let max_requests_per_conn = parsed.get_u64("max-requests-per-conn", 1000)?.max(1) as u32;
     let burst = parsed.get_u64("burst", 0)?;
     let refill_per_sec = parsed.get_f64("refill-per-sec", 10.0)?;
-    // A NaN or infinite rate switches the bucket off and a negative one
-    // drains it by itself, so neither is a rate.
-    if !(refill_per_sec.is_finite() && refill_per_sec >= 0.0) {
+    // A negative rate drains the bucket by itself, so it is no rate.
+    if refill_per_sec < 0.0 {
         return Err(format!(
-            "`--refill-per-sec` expects a finite, non-negative rate, found `{refill_per_sec}`"
+            "`--refill-per-sec` expects a non-negative rate, found `{refill_per_sec}`"
         ));
     }
     let tick_ms = parsed.get_u64("tick-ms", 200)?.max(1);

@@ -88,6 +88,38 @@ fn plan_a_short_horizon() {
 }
 
 #[test]
+fn plan_rejects_a_table_with_a_non_finite_or_negative_value() {
+    // A NaN or negative limit would reach the amortization plan's assert,
+    // and a NaN setpoint would plan to `F_CE : NaN %`; each must be a
+    // parse error.
+    let lights = "Lights | 04:00 - 09:00 | Set Light | 40";
+    let budget = "Budget | for 1 week | Set kWh Limit | 100";
+    for (table, needle) in [
+        (
+            format!("{lights}\nBudget | for 1 week | Set kWh Limit | NaN\n"),
+            "line 2: invalid value `NaN`: expected a finite number",
+        ),
+        (
+            format!("{lights}\nBudget | for 1 week | Set kWh Limit | -5\n"),
+            "line 2: a kWh limit cannot be negative",
+        ),
+        (
+            format!("{lights}\nHeat | 01:00 - 07:00 | Set Temperature | NaN\n{budget}\n"),
+            "line 2: invalid value `NaN`: expected a finite number",
+        ),
+    ] {
+        let (_dir, path) = write_temp(&table, "bad.mrt");
+        let out = imcf()
+            .args(["plan", &path, "--days", "1"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{table}{stderr}");
+        assert!(stderr.contains(needle), "{table}{stderr}");
+    }
+}
+
+#[test]
 fn plan_with_jobs_is_deterministic_across_worker_counts() {
     let (_dir, path) = write_temp(MRT, "family.mrt");
     let run = |jobs: &str| {
@@ -141,6 +173,41 @@ fn workflow_dry_run() {
         .output()
         .unwrap();
     assert!(String::from_utf8_lossy(&warm.stdout).contains("no actuations"));
+}
+
+#[test]
+fn workflow_rejects_a_temperature_that_is_not_finite() {
+    let (_dir, path) = write_temp(
+        "workflow \"w\"\n  if env.temperature < 18\n    actuate temperature 21\n  end\nend\n",
+        "w.wf",
+    );
+    for bad in ["NaN", "inf"] {
+        let out = imcf()
+            .args(["workflow", &path, "--temperature", bad])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "`{bad}`: {stderr}");
+        assert!(
+            stderr.contains("`--temperature` expects a finite number"),
+            "`{bad}`: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn schedule_rejects_a_headroom_that_is_not_finite() {
+    let (_dir, path) = write_temp("EV | 3.0 | 3 | 0..30\n", "loads.txt");
+    let out = imcf()
+        .args(["schedule", &path, "--headroom", "NaN"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("`--headroom` expects a finite number"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -7,6 +7,8 @@
 //!
 //! * weather from [`imcf_sim::weather::WeatherApi`] (the API substitute),
 //! * a live thermal twin providing the unactuated ambient temperature,
+//!   both folded into the week's slots by [`family_week`] (which the
+//!   fair-share ablation reuses with the limit scaled),
 //! * the full [`LocalController`] loop — planning, firewall enforcement,
 //!   actuation, metering — ticked once per hour for 168 hours by a
 //!   [`Deployment`],
@@ -16,14 +18,14 @@ use crate::controller::{ControllerConfig, ControllerError, LocalController};
 use crate::deployment::Deployment;
 use imcf_core::amortization::{AmortizationPlan, ApKind};
 use imcf_core::calendar::PaperCalendar;
-use imcf_core::candidate::{CandidateRule, PlanningSlot};
+use imcf_core::candidate::PlanningSlot;
 use imcf_core::ecp::Ecp;
-use imcf_devices::energy::{DeviceEnergyModel, HvacModel, LightModel};
-use imcf_rules::action::{Action, DeviceClass};
-use imcf_rules::meta_rule::{MetaRule, RuleClass};
+use imcf_rules::action::Action;
+use imcf_rules::meta_rule::MetaRule;
 use imcf_rules::mrt::Mrt;
 use imcf_rules::window::TimeWindow;
 use imcf_sim::illuminance::RoomLight;
+use imcf_sim::slots::{candidate, HourTables, Pricing};
 use imcf_sim::thermal::RoomThermalModel;
 use imcf_sim::weather::WeatherApi;
 use imcf_telemetry::Stopwatch;
@@ -106,9 +108,14 @@ pub fn family_mrt(weekly_budget_kwh: f64) -> Mrt {
     mrt
 }
 
-/// Runs the week-long prototype deployment. Fails only if the household's
-/// zone cannot be provisioned.
-pub fn run_prototype(config: PrototypeConfig) -> Result<PrototypeOutcome, ControllerError> {
+/// The household's one zone.
+const HOME: &str = "home";
+
+/// The family's week of planning slots: the family MRT priced on the
+/// flat's devices against a free-running thermal twin and the room's
+/// perceived daylight, under a LAF plan of the weekly limit (a week has no
+/// seasonal structure to shape against, so the limit spreads linearly).
+pub fn family_week(config: &PrototypeConfig) -> Vec<PlanningSlot> {
     let calendar = PaperCalendar::starting_in(config.month);
     let weather = WeatherApi::new(
         imcf_traces::generator::ClimateModel::mediterranean(),
@@ -116,11 +123,8 @@ pub fn run_prototype(config: PrototypeConfig) -> Result<PrototypeOutcome, Contro
         config.seed,
     );
     let mrt = family_mrt(config.weekly_budget_kwh);
-    let hvac = HvacModel::split_unit_flat();
-    let light = LightModel::led_array();
-
-    // A uniform weekly profile: the AP spreads the limit linearly (a week
-    // has no seasonal structure to shape against).
+    let tables = HourTables::compile(&mrt);
+    let pricing = Pricing::flat();
     let plan = AmortizationPlan::new(
         ApKind::Laf,
         Ecp::new(vec![config.weekly_budget_kwh]),
@@ -128,50 +132,35 @@ pub fn run_prototype(config: PrototypeConfig) -> Result<PrototypeOutcome, Contro
         WEEK_HOURS,
         calendar,
     );
-
-    let zones = [String::from("home")];
-    let controller = LocalController::with_zones(ControllerConfig::default(), calendar, &zones)?;
-    let mut deployment = Deployment::new(controller);
-
     // The free-running thermal twin provides the unactuated ambient.
     let mut twin = RoomThermalModel::flat(18.0);
     let room_light = RoomLight::typical();
+    (0..WEEK_HOURS)
+        .map(|h| {
+            let sample = weather.sample(h);
+            twin.step_free(sample.outdoor_c);
+            let ambient_light = room_light.perceived(sample.daylight);
+            let candidates = tables
+                .at(calendar.hour_of_day(h))
+                .iter()
+                .filter_map(|rule| candidate(rule, HOME, twin.indoor_c, ambient_light, &pricing))
+                .collect();
+            PlanningSlot::new(h, candidates, plan.hourly_budget(h))
+        })
+        .collect()
+}
+
+/// Runs the week-long prototype deployment. Fails only if the household's
+/// zone cannot be provisioned.
+pub fn run_prototype(config: PrototypeConfig) -> Result<PrototypeOutcome, ControllerError> {
+    let calendar = PaperCalendar::starting_in(config.month);
+    let zones = [String::from(HOME)];
+    let controller = LocalController::with_zones(ControllerConfig::default(), calendar, &zones)?;
+    let mut deployment = Deployment::new(controller);
 
     let start = Stopwatch::start();
-    let out = deployment.run(0..WEEK_HOURS, &zones, |h| {
-        let sample = weather.sample(h);
-        twin.step_free(sample.outdoor_c);
-        let ambient_temp = twin.indoor_c;
-        let ambient_light = room_light.perceived(sample.daylight);
-
-        let mut candidates = Vec::new();
-        for rule in mrt.active_at_hour(calendar.hour_of_day(h)) {
-            let (desired, ambient, class) = match rule.action {
-                Action::SetTemperature(v) => (v, ambient_temp, DeviceClass::Hvac),
-                Action::SetLight(v) => (v, ambient_light, DeviceClass::Light),
-                Action::SetKwhLimit(_) => continue,
-            };
-            let exec_kwh = match class {
-                DeviceClass::Hvac => hvac.hourly_kwh(desired, ambient_temp),
-                DeviceClass::Light => light.hourly_kwh(desired, ambient_light),
-                DeviceClass::Meter => 0.0,
-            };
-            candidates.push(CandidateRule {
-                rule_id: rule.id,
-                zone: zones[0].clone(),
-                device_class: class,
-                owner: rule.owner.clone(),
-                priority: rule.priority,
-                necessity: rule.class == RuleClass::Necessity,
-                desired,
-                ambient,
-                exec_kwh,
-                ifttt_value: None,
-                ifttt_kwh: 0.0,
-            });
-        }
-        PlanningSlot::new(h, candidates, plan.hourly_budget(h))
-    })?;
+    let week = family_week(&config);
+    let out = deployment.run(0..WEEK_HOURS, &zones, |h| week[h as usize].clone())?;
 
     Ok(PrototypeOutcome {
         fe_kwh: out.energy_kwh,

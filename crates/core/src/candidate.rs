@@ -31,8 +31,6 @@ pub struct CandidateRule {
     pub device_class: DeviceClass,
     /// Owning resident (empty = household), for Table V attribution.
     pub owner: String,
-    /// Rule priority (higher = more important).
-    pub priority: u32,
     /// True for necessity rules, which the planner must keep active.
     pub necessity: bool,
     /// Desired output value Ω (paper Eq. 1).
@@ -56,7 +54,6 @@ impl CandidateRule {
             zone: String::new(),
             device_class: DeviceClass::Hvac,
             owner: String::new(),
-            priority: 1,
             necessity: false,
             desired,
             ambient,

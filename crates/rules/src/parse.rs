@@ -88,9 +88,7 @@ fn parse_mrt_row(line: &str, lineno: usize, id: u32) -> Result<MetaRule, ParseEr
     if description.is_empty() {
         return Err(err(lineno, "empty description"));
     }
-    let value: f64 = fields[3]
-        .parse()
-        .map_err(|_| err(lineno, format!("invalid value `{}`", fields[3])))?;
+    let value = parse_num(fields[3], lineno)?;
     let action = parse_action_name(fields[2], value, lineno)?;
 
     let mut rule = if let Some(horizon) = parse_horizon(fields[1]) {
@@ -134,9 +132,20 @@ fn parse_action_name(name: &str, value: f64, lineno: usize) -> Result<Action, Pa
     match name.to_ascii_lowercase().as_str() {
         "set temperature" => Ok(Action::SetTemperature(value)),
         "set light" => Ok(Action::SetLight(value)),
-        "set kwh limit" => Ok(Action::SetKwhLimit(value)),
+        "set kwh limit" => kwh_limit(value, lineno),
         other => Err(err(lineno, format!("unknown action `{other}`"))),
     }
+}
+
+/// A budget action; a negative limit is no budget any plan can meet.
+fn kwh_limit(value: f64, lineno: usize) -> Result<Action, ParseError> {
+    if value < 0.0 {
+        return Err(err(
+            lineno,
+            format!("a kWh limit cannot be negative, found `{value}`"),
+        ));
+    }
+    Ok(Action::SetKwhLimit(value))
 }
 
 /// Parses `for N years/months/weeks/days/hours` into hours, using the paper's
@@ -336,9 +345,18 @@ fn parse_cmp(s: &str, lineno: usize) -> Result<Cmp, ParseError> {
     }
 }
 
+/// Parses a rule value. `NaN` and `inf` parse as `f64` but are no setpoint,
+/// level or limit, and would reach the planner's arithmetic unchecked.
 fn parse_num(s: &str, lineno: usize) -> Result<f64, ParseError> {
-    s.parse()
-        .map_err(|_| err(lineno, format!("invalid number `{s}`")))
+    s.parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| {
+            err(
+                lineno,
+                format!("invalid value `{s}`: expected a finite number"),
+            )
+        })
 }
 
 fn parse_ifttt_action(s: &str, lineno: usize) -> Result<Action, ParseError> {
@@ -346,7 +364,7 @@ fn parse_ifttt_action(s: &str, lineno: usize) -> Result<Action, ParseError> {
     match tokens.as_slice() {
         ["Set", "Temperature", v] => Ok(Action::SetTemperature(parse_num(v, lineno)?)),
         ["Set", "Light", v] => Ok(Action::SetLight(parse_num(v, lineno)?)),
-        ["Set", "kWh", "Limit", v] => Ok(Action::SetKwhLimit(parse_num(v, lineno)?)),
+        ["Set", "kWh", "Limit", v] => kwh_limit(parse_num(v, lineno)?, lineno),
         _ => Err(err(lineno, format!("unrecognized action `{s}`"))),
     }
 }
@@ -417,6 +435,36 @@ Energy Flat | for three years | Set kWh Limit | 11000
     fn bad_value_reports_line() {
         let e = parse_mrt("A | 01:00 - 02:00 | Set Light | forty\n").unwrap_err();
         assert!(e.message.contains("invalid value"));
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_with_their_line() {
+        for bad in ["NaN", "inf", "-inf", "infinity"] {
+            let text = format!("# header\nA | 01:00 - 02:00 | Set Temperature | {bad}\n");
+            let e = parse_mrt(&text).unwrap_err();
+            assert_eq!(e.line, 2, "{bad}");
+            assert!(e.message.contains("finite"), "{bad}: {e}");
+            let e = parse_mrt(&format!("E | for 1 week | Set kWh Limit | {bad}\n")).unwrap_err();
+            assert!(e.message.contains("finite"), "{bad}: {e}");
+            let e = parse_ifttt(&format!("IF TRUE THEN Set Light {bad}\n")).unwrap_err();
+            assert!(e.message.contains("finite"), "{bad}: {e}");
+            let e = parse_ifttt(&format!("IF Temperature > {bad} THEN Set Light 0\n")).unwrap_err();
+            assert!(e.message.contains("finite"), "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn negative_kwh_limits_are_rejected_with_their_line() {
+        let e =
+            parse_mrt("A | 01:00 - 02:00 | Set Light | 40\nE | for 1 week | Set kWh Limit | -5\n")
+                .unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("negative"), "{e}");
+        let e = parse_ifttt("IF TRUE THEN Set kWh Limit -5\n").unwrap_err();
+        assert!(e.message.contains("negative"), "{e}");
+        // A zero limit and negative setpoints stay valid.
+        parse_mrt("E | for 1 week | Set kWh Limit | 0\n").unwrap();
+        parse_mrt("Freezer | 00:00 - 24:00 | Set Temperature | -18\n").unwrap();
     }
 
     #[test]

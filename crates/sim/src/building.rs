@@ -11,10 +11,10 @@
 //! budgets (11 000 / 25 500 / 480 000 kWh) at the same relative tightness
 //! as in the original evaluation.
 
+use crate::slots::{mr_ecp, HourTables, Pricing};
 use imcf_core::calendar::{PaperCalendar, HOURS_PER_YEAR};
 use imcf_core::ecp::Ecp;
-use imcf_devices::energy::{DeviceEnergyModel, HvacModel, LightModel};
-use imcf_rules::action::Action;
+use imcf_devices::energy::{HvacModel, LightModel};
 use imcf_rules::ifttt::IftttTable;
 use imcf_rules::mrt::Mrt;
 use imcf_traces::generator::TraceGenerator;
@@ -83,10 +83,8 @@ pub struct Dataset {
     pub trace: Trace,
     /// Per-zone Meta-Rule Tables.
     pub zone_mrts: Vec<Mrt>,
-    /// The calibrated HVAC model shared by the dataset's units.
-    pub hvac: HvacModel,
-    /// The lighting model.
-    pub light: LightModel,
+    /// The calibrated device models shared by the dataset's zones.
+    pub pricing: Pricing,
     /// Three-year energy budget, kWh.
     pub budget_kwh: f64,
     /// The IFTTT configuration (paper Table III).
@@ -128,8 +126,10 @@ impl Dataset {
             kind,
             trace,
             zone_mrts,
-            hvac: HvacModel::split_unit_flat().scaled(kind.hvac_scale()),
-            light: LightModel::led_array(),
+            pricing: Pricing {
+                hvac: HvacModel::split_unit_flat().scaled(kind.hvac_scale()),
+                light: LightModel::led_array(),
+            },
             budget_kwh: kind.budget_kwh(),
             ifttt: IftttTable::flat_table3(),
             horizon_hours,
@@ -146,45 +146,13 @@ impl Dataset {
         self.zone_mrts.iter().map(|m| m.len()).sum()
     }
 
-    /// Prices one meta-rule action for an hour: executing `action` while
-    /// the ambient values are `ambient_temp` / `ambient_light`.
-    pub fn action_kwh(&self, action: &Action, ambient_temp: f64, ambient_light: f64) -> f64 {
-        match action {
-            Action::SetTemperature(v) => self.hvac.hourly_kwh(*v, ambient_temp),
-            Action::SetLight(v) => self.light.hourly_kwh(*v, ambient_light),
-            Action::SetKwhLimit(_) => 0.0,
-        }
-    }
-
     /// Derives the dataset's Energy Consumption Profile by pricing the MR
     /// (execute-everything) schedule through the device models — the
     /// simulated equivalent of the sub-metered history behind Table I.
     pub fn derive_mr_ecp(&self) -> Ecp {
-        // Each zone's active actions for every hour of day, in table order;
         // `zone_mrts[i]` is the table of `trace.zones[i]`.
-        let active: Vec<[Vec<&Action>; 24]> = self
-            .zone_mrts
-            .iter()
-            .map(|mrt| {
-                std::array::from_fn(|hour_of_day| {
-                    mrt.active_at_hour(hour_of_day as u32)
-                        .into_iter()
-                        .map(|r| &r.action)
-                        .collect()
-                })
-            })
-            .collect();
-        imcf_traces::ecp::derive_ecp(&self.trace, |i, zone, h| {
-            let Some(by_hour) = active.get(i) else {
-                return 0.0;
-            };
-            let hour_of_day = self.trace.calendar.hour_of_day(h) as usize;
-            let (temp, light) = (zone.temperature.at(h), zone.light.at(h));
-            by_hour[hour_of_day]
-                .iter()
-                .map(|action| self.action_kwh(action, temp, light))
-                .sum()
-        })
+        let tables: Vec<HourTables> = self.zone_mrts.iter().map(HourTables::compile).collect();
+        mr_ecp(&self.trace, &tables, &self.pricing)
     }
 }
 
@@ -211,7 +179,7 @@ mod tests {
         let dorms = Dataset::build(DatasetKind::Dorms, 0);
         assert_eq!(dorms.trace.zone_count(), 100);
         assert_eq!(dorms.total_rules(), 100 * 7);
-        assert!(dorms.hvac.kwh_per_degree < house.hvac.kwh_per_degree);
+        assert!(dorms.pricing.hvac.kwh_per_degree < house.pricing.hvac.kwh_per_degree);
     }
 
     #[test]
@@ -226,16 +194,6 @@ mod tests {
     fn scaled_mrts_are_variations_not_copies() {
         let d = Dataset::build(DatasetKind::House, 1);
         assert_ne!(d.zone_mrts[0], d.zone_mrts[1]);
-    }
-
-    #[test]
-    fn action_pricing() {
-        let d = Dataset::build(DatasetKind::Flat, 0);
-        let cold = d.action_kwh(&Action::SetTemperature(25.0), 10.0, 0.0);
-        let mild = d.action_kwh(&Action::SetTemperature(25.0), 22.0, 0.0);
-        assert!(cold > mild);
-        assert!(d.action_kwh(&Action::SetLight(40.0), 0.0, 0.0) > 0.0);
-        assert_eq!(d.action_kwh(&Action::SetKwhLimit(100.0), 0.0, 0.0), 0.0);
     }
 
     #[test]

@@ -14,8 +14,13 @@
 //! * [`grid`] — a grid carbon-intensity process (duck curve) for
 //!   environmentally-aware load shifting;
 //! * [`meter`] — energy metering with monthly rollups;
-//! * [`slots`] — the slot builder joining traces, rules, device models and
-//!   the amortization plan into the [`imcf_core::PlanningSlot`]s the Energy
+//! * [`slots`] — the meta-rule compiler every front end shares:
+//!   [`slots::HourTables`] (one MRT compiled into 24 hour-of-day rule
+//!   lists), [`slots::Pricing`] (the one action pricer),
+//!   [`slots::candidate`] (the one rule → [`imcf_core::CandidateRule`]
+//!   translation) and [`slots::mr_ecp`] (the one MR ECP derivation); and
+//!   the slot builder joining traces, rules, device models and the
+//!   amortization plan into the [`imcf_core::PlanningSlot`]s the Energy
 //!   Planner consumes.
 
 pub mod building;

@@ -1,11 +1,22 @@
-//! The slot builder: joining traces, rules, devices and budgets.
+//! The meta-rule compiler and the slot builder.
 //!
-//! For every hour of the horizon, [`SlotBuilder`] materializes the
+//! Every IMCF front end turns each active meta-rule into one rule instance
+//! per slot, carrying its desired value Ω (paper Eq. 1) and execution
+//! energy `e_j` (Eq. 2). This module holds the only copy of that step:
+//!
+//! * [`HourTables`] compiles one MRT once into its 24 hour-of-day rule
+//!   lists;
+//! * [`Pricing`] is the one action pricer, the device models behind `e_j`;
+//! * [`candidate`] is the one translation of a rule plus the hour's ambient
+//!   values into a [`CandidateRule`];
+//! * [`mr_ecp`] is the one MR (execute-everything) ECP derivation.
+//!
+//! For every hour of a dataset's horizon, [`SlotBuilder`] materializes the
 //! [`PlanningSlot`] the Energy Planner (and the baselines) consume: one
-//! candidate per active meta-rule across all zones, each priced through the
-//! dataset's device models against the zone's ambient trace values, plus
-//! the hourly budget from the Amortization Plan. IFTTT counterpart values
-//! are resolved per zone from the dataset's Table III rule set.
+//! candidate per active meta-rule across all zones, priced against the
+//! zone's ambient trace values, plus the hourly budget from the
+//! Amortization Plan. IFTTT counterpart values are resolved per zone from
+//! the dataset's Table III rule set.
 //!
 //! Slots are produced lazily — a dorms-scale horizon holds millions of
 //! candidate instances and is streamed, never collected.
@@ -13,20 +24,130 @@
 use crate::building::Dataset;
 use imcf_core::amortization::AmortizationPlan;
 use imcf_core::candidate::{CandidateRule, PlanningSlot};
+use imcf_core::ecp::Ecp;
+use imcf_devices::energy::{DeviceEnergyModel, HvacModel, LightModel};
 use imcf_rules::action::{Action, DeviceClass};
 use imcf_rules::env::{EnvSnapshot, Season};
-use imcf_rules::meta_rule::RuleClass;
+use imcf_rules::meta_rule::{MetaRule, RuleClass};
+use imcf_rules::mrt::Mrt;
+use imcf_traces::series::Trace;
+
+/// One MRT compiled into its 24 hour-of-day rule lists, in table order.
+#[derive(Debug)]
+pub struct HourTables<'a> {
+    by_hour: [Vec<&'a MetaRule>; 24],
+}
+
+impl<'a> HourTables<'a> {
+    /// Compiles `mrt`: hour `h`'s list holds the actuation rules active
+    /// at `h`.
+    pub fn compile(mrt: &'a Mrt) -> Self {
+        HourTables {
+            by_hour: std::array::from_fn(|h| mrt.active_at_hour(h as u32)),
+        }
+    }
+
+    /// The rules active at `hour_of_day` (taken modulo 24, as windows do).
+    pub fn at(&self, hour_of_day: u32) -> &[&'a MetaRule] {
+        &self.by_hour[(hour_of_day % 24) as usize]
+    }
+}
+
+/// The one action pricer: the device models behind `e_j` (paper Eq. 2).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pricing {
+    /// The HVAC unit every zone's thermostat drives.
+    pub hvac: HvacModel,
+    /// The zone lighting.
+    pub light: LightModel,
+}
+
+impl Pricing {
+    /// The flat's 2.5 kW split unit and 100 W LED array.
+    pub fn flat() -> Self {
+        Pricing {
+            hvac: HvacModel::split_unit_flat(),
+            light: LightModel::led_array(),
+        }
+    }
+
+    /// kWh to execute `action` for one hour while the zone's ambient values
+    /// are `ambient_temp` / `ambient_light`. A budget row costs nothing.
+    pub fn kwh(&self, action: &Action, ambient_temp: f64, ambient_light: f64) -> f64 {
+        match action {
+            Action::SetTemperature(v) => self.hvac.hourly_kwh(*v, ambient_temp),
+            Action::SetLight(v) => self.light.hourly_kwh(*v, ambient_light),
+            Action::SetKwhLimit(_) => 0.0,
+        }
+    }
+}
+
+/// Translates one active meta-rule of `zone` into this hour's rule
+/// instance: its desired value against the ambient the rule's device class
+/// sees, priced by `pricing`, with no IFTTT counterpart. `None` for budget
+/// rows, which constrain the planner instead of actuating.
+pub fn candidate(
+    rule: &MetaRule,
+    zone: &str,
+    ambient_temp: f64,
+    ambient_light: f64,
+    pricing: &Pricing,
+) -> Option<CandidateRule> {
+    let device_class = rule.action.device_class();
+    let ambient = match device_class {
+        DeviceClass::Hvac => ambient_temp,
+        DeviceClass::Light => ambient_light,
+        DeviceClass::Meter => return None,
+    };
+    Some(CandidateRule {
+        rule_id: rule.id,
+        zone: zone.to_string(),
+        device_class,
+        owner: rule.owner.clone(),
+        necessity: rule.class == RuleClass::Necessity,
+        desired: rule.action.desired_value(),
+        ambient,
+        exec_kwh: pricing.kwh(&rule.action, ambient_temp, ambient_light),
+        ifttt_value: None,
+        ifttt_kwh: 0.0,
+    })
+}
+
+/// The Energy Consumption Profile of executing every active rule (the MR
+/// schedule) over `trace`, priced by `pricing` — the simulated equivalent
+/// of the sub-metered history behind Table I. `tables[i]` is the compiled
+/// MRT of `trace.zones[i]`; a zone without one consumes nothing.
+pub fn mr_ecp(trace: &Trace, tables: &[HourTables<'_>], pricing: &Pricing) -> Ecp {
+    imcf_traces::ecp::derive_ecp(trace, |i, zone, h| {
+        let Some(table) = tables.get(i) else {
+            return 0.0;
+        };
+        let (temp, light) = (zone.temperature.at(h), zone.light.at(h));
+        table
+            .at(trace.calendar.hour_of_day(h))
+            .iter()
+            .map(|rule| pricing.kwh(&rule.action, temp, light))
+            .sum()
+    })
+}
 
 /// Builds planning slots for a dataset under an amortization plan.
 pub struct SlotBuilder<'a> {
     dataset: &'a Dataset,
     plan: &'a AmortizationPlan,
+    /// `tables[i]` is the compiled `dataset.zone_mrts[i]`.
+    tables: Vec<HourTables<'a>>,
 }
 
 impl<'a> SlotBuilder<'a> {
-    /// Creates a builder.
+    /// Creates a builder, compiling every zone's MRT.
     pub fn new(dataset: &'a Dataset, plan: &'a AmortizationPlan) -> Self {
-        SlotBuilder { dataset, plan }
+        let tables = dataset.zone_mrts.iter().map(HourTables::compile).collect();
+        SlotBuilder {
+            dataset,
+            plan,
+            tables,
+        }
     }
 
     /// The environment snapshot of one zone at an hour (the IFTTT engine's
@@ -60,16 +181,17 @@ impl<'a> SlotBuilder<'a> {
     /// Builds the slot for one hour.
     pub fn slot_at(&self, hour_index: u64) -> PlanningSlot {
         let hour_of_day = self.dataset.trace.calendar.hour_of_day(hour_index);
+        let pricing = &self.dataset.pricing;
         let mut candidates = Vec::new();
-        for (zone_idx, (zone, mrt)) in self
+        for (zone_idx, (zone, table)) in self
             .dataset
             .trace
             .zones
             .iter()
-            .zip(self.dataset.zone_mrts.iter())
+            .zip(&self.tables)
             .enumerate()
         {
-            let active = mrt.active_at_hour(hour_of_day);
+            let active = table.at(hour_of_day);
             if active.is_empty() {
                 continue;
             }
@@ -78,40 +200,21 @@ impl<'a> SlotBuilder<'a> {
             let ambient_temp = zone.temperature.at(hour_index);
             let ambient_light = zone.light.at(hour_index);
             for rule in active {
-                let (desired, ambient) = match rule.action {
-                    Action::SetTemperature(v) => (v, ambient_temp),
-                    Action::SetLight(v) => (v, ambient_light),
-                    Action::SetKwhLimit(_) => continue,
+                let Some(mut c) = candidate(rule, &zone.zone, ambient_temp, ambient_light, pricing)
+                else {
+                    continue;
                 };
-                let exec_kwh = self
-                    .dataset
-                    .action_kwh(&rule.action, ambient_temp, ambient_light);
-                let mut candidate = CandidateRule {
-                    rule_id: rule.id,
-                    zone: zone.zone.clone(),
-                    device_class: rule.action.device_class(),
-                    owner: rule.owner.clone(),
-                    priority: rule.priority,
-                    necessity: rule.class == RuleClass::Necessity,
-                    desired,
-                    ambient,
-                    exec_kwh,
-                    ifttt_value: None,
-                    ifttt_kwh: 0.0,
-                };
-                if let Some(action) = ifttt_actions.get(&rule.action.device_class()) {
+                if let Some(action) = ifttt_actions.get(&c.device_class) {
                     let v = action.desired_value();
-                    let kwh = self.dataset.action_kwh(action, ambient_temp, ambient_light);
                     // The perceived output of an IFTTT lamp actuation
                     // includes daylight (lamps add to ambient).
-                    let perceived = match action.device_class() {
+                    c.ifttt_value = Some(match action.device_class() {
                         DeviceClass::Light => (v + ambient_light).min(100.0),
                         _ => v,
-                    };
-                    candidate.ifttt_value = Some(perceived);
-                    candidate.ifttt_kwh = kwh;
+                    });
+                    c.ifttt_kwh = pricing.kwh(action, ambient_temp, ambient_light);
                 }
-                candidates.push(candidate);
+                candidates.push(c);
             }
         }
         PlanningSlot::new(hour_index, candidates, self.plan.hourly_budget(hour_index))
@@ -135,6 +238,8 @@ mod tests {
     use crate::building::DatasetKind;
     use imcf_core::amortization::ApKind;
     use imcf_core::calendar::HOURS_PER_DAY;
+    use imcf_rules::meta_rule::RuleId;
+    use imcf_rules::window::TimeWindow;
 
     fn flat_setup() -> (Dataset, AmortizationPlan) {
         let d = Dataset::build(DatasetKind::Flat, 0);
@@ -185,6 +290,55 @@ mod tests {
             .unwrap();
         assert!(winter_hvac.exec_kwh > summer_hvac.exec_kwh);
         assert!(winter_hvac.ambient < summer_hvac.ambient);
+    }
+
+    #[test]
+    fn hour_tables_list_the_active_rules_in_table_order() {
+        let d = Dataset::build(DatasetKind::House, 3);
+        for mrt in &d.zone_mrts {
+            let tables = HourTables::compile(mrt);
+            for hour in 0..48 {
+                let expected: Vec<RuleId> = mrt.active_at_hour(hour).iter().map(|r| r.id).collect();
+                let got: Vec<RuleId> = tables.at(hour).iter().map(|r| r.id).collect();
+                assert_eq!(got, expected, "hour {hour}");
+            }
+        }
+    }
+
+    #[test]
+    fn pricing_follows_the_device_models() {
+        let pricing = Dataset::build(DatasetKind::Flat, 0).pricing;
+        let cold = pricing.kwh(&Action::SetTemperature(25.0), 10.0, 0.0);
+        let mild = pricing.kwh(&Action::SetTemperature(25.0), 22.0, 0.0);
+        assert!(cold > mild);
+        assert!(pricing.kwh(&Action::SetLight(40.0), 0.0, 0.0) > 0.0);
+        assert_eq!(pricing.kwh(&Action::SetKwhLimit(100.0), 0.0, 0.0), 0.0);
+    }
+
+    #[test]
+    fn candidate_reads_the_ambient_of_its_device_class() {
+        let pricing = Pricing::flat();
+        let window = TimeWindow::hours(1, 7);
+        let heat =
+            MetaRule::necessity(4, "Heat", window, Action::SetTemperature(22.0)).owned_by("father");
+        let c = candidate(&heat, "den", 12.0, 30.0, &pricing).unwrap();
+        assert_eq!(
+            (c.rule_id, c.zone.as_str(), c.owner.as_str()),
+            (RuleId(4), "den", "father")
+        );
+        assert_eq!((c.device_class, c.necessity), (DeviceClass::Hvac, true));
+        assert_eq!((c.desired, c.ambient), (22.0, 12.0));
+        assert_eq!(c.exec_kwh, pricing.hvac.hourly_kwh(22.0, 12.0));
+        assert_eq!((c.ifttt_value, c.ifttt_kwh), (None, 0.0));
+
+        let lamp = MetaRule::convenience(5, "Lamp", window, Action::SetLight(40.0));
+        let c = candidate(&lamp, "den", 12.0, 30.0, &pricing).unwrap();
+        assert_eq!((c.device_class, c.necessity), (DeviceClass::Light, false));
+        assert_eq!((c.desired, c.ambient), (40.0, 30.0));
+        assert_eq!(c.exec_kwh, pricing.light.hourly_kwh(40.0, 30.0));
+
+        let budget = MetaRule::budget(6, "Limit", 100.0, 24);
+        assert_eq!(candidate(&budget, "den", 12.0, 30.0, &pricing), None);
     }
 
     #[test]

@@ -9,13 +9,11 @@
 //! Run with: `cargo run --release --example closed_loop`
 
 use imcf::core::calendar::PaperCalendar;
-use imcf::core::candidate::{CandidateRule, PlanningSlot};
+use imcf::core::candidate::PlanningSlot;
 use imcf::core::{EnergyPlanner, PlannerConfig};
-use imcf::devices::energy::DeviceEnergyModel;
-use imcf::rules::action::{Action, DeviceClass};
-use imcf::rules::meta_rule::RuleId;
 use imcf::rules::mrt::Mrt;
 use imcf::sim::engine::{Actuations, LiveSimulation, LiveZone};
+use imcf::sim::slots::{candidate, HourTables, Pricing};
 use imcf::sim::weather::WeatherApi;
 use imcf::traces::generator::ClimateModel;
 
@@ -33,8 +31,8 @@ fn main() {
 
     // Every zone runs the paper's Table II preferences.
     let mrt = Mrt::flat_table2(11_000.0);
-    let hvac = imcf::devices::energy::HvacModel::split_unit_flat();
-    let lamp = imcf::devices::energy::LightModel::led_array();
+    let tables = HourTables::compile(&mrt);
+    let pricing = Pricing::flat();
 
     // A deliberately tight allowance: 0.9 kWh per hour for the whole home.
     let hourly_budget = 0.9;
@@ -53,43 +51,24 @@ fn main() {
 
         // Build the slot from the live ambients.
         let mut candidates = Vec::new();
-        let mut targets: Vec<(String, DeviceClass, f64)> = Vec::new();
         for zone in &zones {
             let (ambient_c, ambient_light) = sim.ambient_preview(zone).expect("zone exists");
-            for rule in mrt.active_at_hour(hour_of_day) {
-                let (desired, ambient, class, kwh) = match rule.action {
-                    Action::SetTemperature(v) => (
-                        v,
-                        ambient_c,
-                        DeviceClass::Hvac,
-                        hvac.hourly_kwh(v, ambient_c),
-                    ),
-                    Action::SetLight(v) => (
-                        v,
-                        ambient_light,
-                        DeviceClass::Light,
-                        lamp.hourly_kwh(v, ambient_light),
-                    ),
-                    Action::SetKwhLimit(_) => continue,
-                };
-                candidates.push(
-                    CandidateRule::convenience(RuleId(targets.len() as u32), desired, ambient, kwh)
-                        .in_zone(zone)
-                        .for_class(class),
-                );
-                targets.push((zone.to_string(), class, desired));
-            }
+            candidates.extend(
+                tables
+                    .at(hour_of_day)
+                    .iter()
+                    .filter_map(|rule| candidate(rule, zone, ambient_c, ambient_light, &pricing)),
+            );
         }
         let slot = PlanningSlot::new(h, candidates, hourly_budget + reserve);
         let (bits, spent) = planner.plan_slot(&slot, &mut rng);
         reserve = (slot.budget_kwh - spent).max(0.0);
 
-        // Apply the adopted actuations to the live environment.
+        // Apply the adopted candidates to the live environment.
         let mut actuations = Actuations::new();
-        for (idx, adopted) in bits.iter().enumerate() {
+        for (c, adopted) in slot.candidates.iter().zip(bits.iter()) {
             if adopted {
-                let (zone, class, value) = targets[idx].clone();
-                actuations.insert((zone, class), value);
+                actuations.insert((c.zone.clone(), c.device_class), c.desired);
             }
         }
         let report = sim.step(&actuations);

@@ -7,6 +7,9 @@
 //! accumulate in, which workload feeds which run, when a checkpoint is
 //! written — moves a pin here even where the drivers' own tests only
 //! compare two runs of the same code.
+//!
+//! The store's bytes are pinned the same way: the `command_journal`,
+//! `checkpoint` and `soak_journal` log segments a run leaves on disk.
 
 use imcf_chaos::FaultPlan;
 use imcf_controller::prototype::{run_prototype, PrototypeConfig};
@@ -131,4 +134,68 @@ fn winter_prototype_week_is_pinned() {
 #[test]
 fn summer_prototype_week_is_pinned() {
     assert_eq!(prototype_pin(7), "9bd90b3845bfc6a7");
+}
+
+/// FNV-1a-64 over every log segment of `table` in `dir`, in sequence
+/// order, each file's name hashed before its bytes.
+fn files_pin(dir: &std::path::Path, table: &str) -> String {
+    let files = imcf_store::segment::segment_files(dir, table).unwrap();
+    assert!(
+        !files.is_empty(),
+        "no `{table}` segments in {}",
+        dir.display()
+    );
+    let mut hash = FNV_OFFSET;
+    for (_, path) in files {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let bytes = std::fs::read(&path).unwrap();
+        for byte in name.bytes().chain(bytes) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+    }
+    format!("{hash:016x}")
+}
+
+#[test]
+fn recoverable_journal_and_checkpoint_bytes_are_pinned() {
+    let dir = tempfile::tempdir().unwrap();
+    run_recoverable(&faulty_recovery(40), dir.path()).unwrap();
+    assert_eq!(files_pin(dir.path(), "command_journal"), "0e89453b788dfcb2");
+    assert_eq!(files_pin(dir.path(), "checkpoint"), "e0178db262e5eee7");
+
+    // A resumed run reopens both tables and appends after the replay; its
+    // journal is byte-identical to the uncrashed run's.
+    let dir = tempfile::tempdir().unwrap();
+    run_recoverable(&faulty_recovery(17), dir.path()).unwrap();
+    run_recoverable(&faulty_recovery(40), dir.path()).unwrap();
+    assert_eq!(files_pin(dir.path(), "command_journal"), "0e89453b788dfcb2");
+    assert_eq!(files_pin(dir.path(), "checkpoint"), "b0e2d94be33424f5");
+}
+
+#[test]
+fn journaled_soak_bytes_are_pinned() {
+    let dir = tempfile::tempdir().unwrap();
+    let config = SoakConfig {
+        seed: 3,
+        ticks: 96,
+        zones: 2,
+        plan: FaultPlan::commands(3, 0.2),
+        ..SoakConfig::default()
+    };
+    let out = run_soak(&config, Some(dir.path()));
+    assert_eq!(out.journal_rows, 96);
+    assert_eq!(files_pin(dir.path(), "soak_journal"), "c1634a0659bff210");
+
+    // Store faults and a torn tail: the reopen keeps the valid prefix.
+    let dir = tempfile::tempdir().unwrap();
+    let config = SoakConfig {
+        seed: 0,
+        ticks: 120,
+        zones: 3,
+        plan: FaultPlan::commands(0, 0.10).with_store_faults(0.6),
+        ..SoakConfig::default()
+    };
+    let out = run_soak(&config, Some(dir.path()));
+    assert!(out.torn_reopen, "{out:?}");
+    assert_eq!(files_pin(dir.path(), "soak_journal"), "ee510d604095e11e");
 }

@@ -19,7 +19,7 @@
 //! in `target/experiments/store_bench.json` via the shared harness.
 
 use imcf_bench::harness::write_artifacts;
-use imcf_store::{SegmentConfig, Table};
+use imcf_store::{Log, SegmentConfig, Table};
 use imcf_telemetry::Stopwatch;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -79,10 +79,22 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// A small segment threshold keeps sealing on the measured path.
+fn segments() -> SegmentConfig {
+    SegmentConfig::with_segment_bytes(64 * 1024)
+}
+
 fn open_table(dir: &Path) -> Table<Row> {
-    // A small segment threshold keeps sealing on the measured path.
-    match Table::open_with(dir, "rows", SegmentConfig::with_segment_bytes(64 * 1024)) {
+    match Table::open_with(dir, "rows", segments()) {
         Ok(t) => t,
+        Err(e) => die(&format!("open {}: {e}", dir.display())),
+    }
+}
+
+/// The row-less log group commit writes through.
+fn open_log(dir: &Path) -> Log<Row> {
+    match Log::open_with(dir, "rows", segments(), |_| {}) {
+        Ok(log) => log,
         Err(e) => die(&format!("open {}: {e}", dir.display())),
     }
 }
@@ -114,7 +126,7 @@ fn single_writer_sync(rows: usize) -> WriteResult {
 fn multi_writer(writers: usize, per_writer: usize, group: bool) -> WriteResult {
     let tag = if group { "group" } else { "direct" };
     let dir = scratch(tag);
-    let shared = open_table(&dir).into_shared();
+    let shared = open_log(&dir).into_shared();
     let clock = Stopwatch::start();
     std::thread::scope(|s| {
         for w in 0..writers {

@@ -1,6 +1,7 @@
 //! Dependency-free `--key value` argument parsing.
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// Parsed command arguments: positional values plus `--key value` options.
 #[derive(Debug, Default)]
@@ -90,12 +91,35 @@ impl Parsed {
 
     /// An integer option with a default.
     pub fn get_u64(&self, name: &str, default: u64) -> Result<u64, String> {
-        match self.options.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("`--{name}` expects an integer, found `{v}`")),
+        self.get_u64_in(name, default, 0..=u64::MAX)
+    }
+
+    /// An integer option with a default that must lie in `range`: a month,
+    /// an hour of the day, or a count the planner asserts is non-zero.
+    pub fn get_u64_in(
+        &self,
+        name: &str,
+        default: u64,
+        range: RangeInclusive<u64>,
+    ) -> Result<u64, String> {
+        let Some(v) = self.options.get(name) else {
+            return Ok(default);
+        };
+        let value: u64 = v
+            .parse()
+            .map_err(|_| format!("`--{name}` expects an integer, found `{v}`"))?;
+        if !range.contains(&value) {
+            let (lo, hi) = (range.start(), range.end());
+            let wanted = if *hi == u64::MAX {
+                format!(">= {lo}")
+            } else {
+                format!("in {lo}..={hi}")
+            };
+            return Err(format!(
+                "`--{name}` expects an integer {wanted}, found `{v}`"
+            ));
         }
+        Ok(value)
     }
 }
 
@@ -154,6 +178,19 @@ mod tests {
         let p = SPEC.parse(&argv(&["--seed", "abc"])).unwrap();
         assert!(p.get_u64("seed", 0).is_err());
         assert!(p.get_f64("seed", 0.0).is_err());
+    }
+
+    #[test]
+    fn ranged_integers_reject_values_outside_their_range() {
+        let p = SPEC
+            .parse(&argv(&["--months", "13", "--seed", "0"]))
+            .unwrap();
+        let e = p.get_u64_in("months", 1, 1..=12).unwrap_err();
+        assert_eq!(e, "`--months` expects an integer in 1..=12, found `13`");
+        let e = p.get_u64_in("seed", 1, 1..=u64::MAX).unwrap_err();
+        assert_eq!(e, "`--seed` expects an integer >= 1, found `0`");
+        assert_eq!(p.get_u64_in("seed", 1, 0..=23).unwrap(), 0);
+        assert_eq!(p.get_u64_in("absent", 5, 1..=12).unwrap(), 5);
     }
 
     #[test]

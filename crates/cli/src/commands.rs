@@ -129,10 +129,10 @@ pub fn plan(argv: &[String]) -> Result<(), String> {
         .tightest_budget()
         .ok_or("the table has no `Set kWh Limit` row to plan against")?;
 
-    let days = parsed.get_u64("days", (budget_horizon / 24).min(31))?;
-    let horizon = (days * 24).min(budget_horizon);
+    let days = parsed.get_u64_in("days", (budget_horizon / 24).clamp(1, 31), 1..=u64::MAX)?;
+    let horizon = days.saturating_mul(24).min(budget_horizon);
     let seed = parsed.get_u64("seed", 0)?;
-    let k = parsed.get_u64("k", 2)? as usize;
+    let k = parsed.get_u64_in("k", 2, 1..=u64::MAX)? as usize;
     let tau = parsed.get_u64("tau", 100)? as u32;
     let savings = parsed.get_f64("savings", 0.0)? / 100.0;
     if !(0.0..1.0).contains(&savings) {
@@ -297,8 +297,8 @@ pub fn workflow(argv: &[String]) -> Result<(), String> {
     let wf = parse_workflow(&read_file(path)?).map_err(|e| format!("{path}: {e}"))?;
 
     let env = EnvSnapshot::neutral()
-        .with_month(parsed.get_u64("month", 1)? as u32)
-        .with_hour(parsed.get_u64("hour", 0)? as u32)
+        .with_month(parsed.get_u64_in("month", 1, 1..=12)? as u32)
+        .with_hour(parsed.get_u64_in("hour", 0, 0..=23)? as u32)
         .with_temperature(parsed.get_f64("temperature", 15.0)?)
         .with_light(parsed.get_f64("light", 0.0)?);
     let outcome = wf.run(&env).map_err(|e| format!("workflow failed: {e}"))?;

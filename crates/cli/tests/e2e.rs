@@ -156,6 +156,54 @@ fn plan_rejects_zero_jobs() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs must be at least 1"));
 }
 
+/// Runs `imcf <args>` and asserts a usage error (exit 1, not a panic's
+/// 101) naming `flag` and the values it takes.
+fn assert_range_error(args: &[&str], flag: &str, wanted: &str) {
+    let out = imcf().args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("`--{flag}` expects an integer {wanted}")),
+        "{args:?}: {stderr}"
+    );
+}
+
+#[test]
+fn plan_rejects_zero_days() {
+    let (_dir, path) = write_temp(MRT, "family.mrt");
+    assert_range_error(&["plan", &path, "--days", "0"], "days", ">= 1");
+}
+
+#[test]
+fn plan_rejects_zero_k() {
+    let (_dir, path) = write_temp(MRT, "family.mrt");
+    assert_range_error(&["plan", &path, "--days", "1", "--k", "0"], "k", ">= 1");
+}
+
+const WORKFLOW: &str =
+    "workflow \"w\"\n  if env.temperature < 18\n    actuate temperature 21\n  end\nend\n";
+
+#[test]
+fn workflow_rejects_a_month_outside_1_to_12() {
+    let (_dir, path) = write_temp(WORKFLOW, "w.wf");
+    for bad in ["0", "13"] {
+        assert_range_error(&["workflow", &path, "--month", bad], "month", "in 1..=12");
+    }
+}
+
+#[test]
+fn workflow_rejects_an_hour_outside_0_to_23() {
+    let (_dir, path) = write_temp(WORKFLOW, "w.wf");
+    for bad in ["24", "99"] {
+        assert_range_error(&["workflow", &path, "--hour", bad], "hour", "in 0..=23");
+    }
+    let last = imcf()
+        .args(["workflow", &path, "--hour", "23", "--month", "12"])
+        .output()
+        .unwrap();
+    assert!(last.status.success(), "{last:?}");
+}
+
 #[test]
 fn workflow_dry_run() {
     let (_dir, path) = write_temp(

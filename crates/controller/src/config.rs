@@ -175,7 +175,7 @@ impl ConfigStore {
     /// Approximate configuration footprint in bytes (the paper quotes
     /// ~65 bytes per user).
     pub fn footprint_bytes(&self) -> u64 {
-        self.residents.wal_bytes() + self.rules.wal_bytes()
+        self.residents.log().wal_bytes() + self.rules.log().wal_bytes()
     }
 }
 

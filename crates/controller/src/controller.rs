@@ -221,7 +221,7 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 /// configuration plus the provisioned zones, so restoring needs no
 /// external configuration — only this record. Device twin state is NOT
 /// checkpointed; it is rebuilt by replaying the delivered half of the
-/// command journal (see [`CommandJournal::replay_into`]).
+/// command journal as it is opened (see [`CommandJournal::open`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ControllerCheckpoint {
     /// Layout version ([`CHECKPOINT_VERSION`]).

@@ -27,7 +27,7 @@ use imcf_sim::illuminance::RoomLight;
 use imcf_sim::thermal::RoomThermalModel;
 use imcf_sim::weather::WeatherApi;
 use imcf_store::commit::SharedTable;
-use imcf_store::Table;
+use imcf_store::Log;
 use imcf_telemetry::{Counter, Gauge, Registry};
 use imcf_traces::outage::OutagePlan;
 use std::collections::BTreeSet;
@@ -145,7 +145,7 @@ pub struct Deployment {
     pub controller: LocalController,
     /// The fault plan and the bus subscriber it stalls.
     chaos: Option<(FaultPlan, Receiver<Event>)>,
-    journal: Option<Table<TickSummary>>,
+    journal: Option<Log<TickSummary>>,
     /// The checkpoint table, the interval, and the watchdog.
     checkpoints: Option<(SharedTable<ControllerCheckpoint>, u64, TickWatchdog)>,
     obs: Option<ObsSampler>,
@@ -178,10 +178,10 @@ impl Deployment {
         self
     }
 
-    /// Journals every tick summary to `table`; a failed insert counts as a
+    /// Journals every tick summary to `log`; a failed insert counts as a
     /// storage error and the run keeps ticking.
-    pub fn with_journal(mut self, table: Table<TickSummary>) -> Deployment {
-        self.journal = Some(table);
+    pub fn with_journal(mut self, log: Log<TickSummary>) -> Deployment {
+        self.journal = Some(log);
         self
     }
 
@@ -286,8 +286,8 @@ impl Deployment {
             }
             out.instances += slot.candidates.len() as u64;
 
-            if let Some(table) = self.journal.as_mut() {
-                if table.insert(summary.clone()).is_err() {
+            if let Some(log) = self.journal.as_mut() {
+                if log.insert(&summary).is_err() {
                     out.storage_errors += 1;
                 }
             }

@@ -20,9 +20,9 @@
 //! * A command acknowledged before the crash re-derives the same id on
 //!   re-execution, hits the journal's delivered set, and is *skipped* —
 //!   no double actuation. Its effect on the device twin was already
-//!   rebuilt by [`CommandJournal::replay_into`] at restore time, and the
-//!   skip path redoes the in-memory bookkeeping (meter, breaker, reserve)
-//!   the crash wiped out.
+//!   rebuilt by [`CommandJournal::open`] at restore time, and the skip
+//!   path redoes the in-memory bookkeeping (meter, breaker, reserve) the
+//!   crash wiped out.
 //! * A command that was in flight (journaled but not yet synced, or never
 //!   journaled) is re-executed from the restored control state, which
 //!   replays the original decision deterministically — no lost command.
@@ -41,7 +41,7 @@ use imcf_core::planner::PlannerConfig;
 use imcf_devices::command::Command;
 use imcf_devices::registry::DeviceRegistry;
 use imcf_store::commit::SharedTable;
-use imcf_store::Table;
+use imcf_store::{Change, Log};
 use imcf_telemetry::Stopwatch;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -81,10 +81,12 @@ pub struct CommandRecord {
     pub reason: Option<String>,
 }
 
-/// The exactly-once command journal: a WAL-backed [`Table`] plus the
-/// in-memory dedup indexes rebuilt from it on open.
+/// The exactly-once command journal: an append-only WAL-backed [`Log`]
+/// plus the in-memory dedup indexes rebuilt from it on open. It holds no
+/// rows: a record is folded into the indexes as it is replayed or
+/// appended.
 pub struct CommandJournal {
-    table: Table<JournalRecord>,
+    log: Log<JournalRecord>,
     /// Delivered command ids → their wire form (the dedup set).
     delivered: BTreeMap<u64, String>,
     /// Every journaled command id, delivered or failed — duplicate
@@ -98,38 +100,48 @@ pub struct CommandJournal {
 }
 
 impl CommandJournal {
-    /// Opens (or creates) the journal in `dir`, rebuilding the dedup
-    /// indexes from the surviving rows.
-    pub fn open(dir: &Path) -> Result<CommandJournal, ControllerError> {
-        let table: Table<JournalRecord> = Table::open(dir, JOURNAL_TABLE)?;
+    /// Opens (or creates) the journal in `dir` and reads it once: each
+    /// surviving record rebuilds the dedup indexes, and each delivered
+    /// command is replayed into `registry`'s device twins without
+    /// re-actuating (egress filters and fault injectors are bypassed).
+    /// Returns the journal and the number of commands replayed.
+    pub fn open(
+        dir: &Path,
+        registry: &DeviceRegistry,
+    ) -> Result<(CommandJournal, u64), ControllerError> {
         let mut delivered = BTreeMap::new();
         let mut recorded = BTreeSet::new();
         let mut sealed = BTreeSet::new();
-        for (_, record) in table.scan() {
-            match record {
-                JournalRecord::Tick(summary) => {
-                    sealed.insert(summary.hour_index);
-                }
-                JournalRecord::Command(cmd) => {
-                    recorded.insert(cmd.command_id);
-                    if let Some(wire) = &cmd.wire {
-                        delivered.insert(cmd.command_id, wire.clone());
+        let mut replayed = 0;
+        let log = Log::open(dir, JOURNAL_TABLE, |change| match change {
+            Change::Put(_, JournalRecord::Tick(summary)) => {
+                sealed.insert(summary.hour_index);
+            }
+            Change::Put(_, JournalRecord::Command(cmd)) => {
+                recorded.insert(cmd.command_id);
+                if let Some(wire) = cmd.wire {
+                    if registry.apply_replayed(&cmd.command).is_ok() {
+                        replayed += 1;
                     }
+                    delivered.insert(cmd.command_id, wire);
                 }
             }
-        }
-        Ok(CommandJournal {
-            table,
+            // The journal only appends.
+            Change::Delete(_) => {}
+        })?;
+        let journal = CommandJournal {
+            log,
             delivered,
             recorded,
             sealed,
             deduped: 0,
-        })
+        };
+        Ok((journal, replayed))
     }
 
     /// Journal rows currently readable (commands + tick seals).
     pub fn rows(&self) -> u64 {
-        self.table.len() as u64
+        self.log.len() as u64
     }
 
     /// Count of distinct delivered command ids.
@@ -168,21 +180,6 @@ impl CommandJournal {
         self.deduped += 1;
     }
 
-    /// Replays every delivered command into `registry`, rebuilding device
-    /// twin state without re-actuating (egress filters and fault
-    /// injectors are bypassed). Returns the number of commands applied.
-    pub fn replay_into(&self, registry: &DeviceRegistry) -> u64 {
-        let mut applied = 0;
-        for (_, record) in self.table.scan() {
-            if let JournalRecord::Command(cmd) = record {
-                if cmd.wire.is_some() && registry.apply_replayed(&cmd.command).is_ok() {
-                    applied += 1;
-                }
-            }
-        }
-        applied
-    }
-
     pub(crate) fn record_delivered(
         &mut self,
         command_id: u64,
@@ -198,7 +195,7 @@ impl CommandJournal {
             return Ok(());
         }
         self.delivered.insert(command_id, wire.to_string());
-        self.table.insert(JournalRecord::Command(CommandRecord {
+        self.log.insert(&JournalRecord::Command(CommandRecord {
             command_id,
             hour_index,
             command: command.clone(),
@@ -220,7 +217,7 @@ impl CommandJournal {
         if !self.recorded.insert(command_id) {
             return Ok(());
         }
-        self.table.insert(JournalRecord::Command(CommandRecord {
+        self.log.insert(&JournalRecord::Command(CommandRecord {
             command_id,
             hour_index,
             command: command.clone(),
@@ -236,18 +233,18 @@ impl CommandJournal {
     /// a crash before it re-executes them, a crash after it dedups them.
     pub(crate) fn seal_tick(&mut self, summary: &TickSummary) -> Result<(), ControllerError> {
         if self.sealed.insert(summary.hour_index) {
-            self.table.insert(JournalRecord::Tick(summary.clone()))?;
+            self.log.insert(&JournalRecord::Tick(summary.clone()))?;
         }
         imcf_chaos::crashpoint::reached("journal.pre_sync");
-        self.table.sync()?;
+        self.log.sync()?;
         imcf_chaos::crashpoint::reached("journal.post_sync");
         Ok(())
     }
 }
 
 /// A read-only audit of the on-disk journal — the crash soak's invariant
-/// source. Opened fresh (recovering any torn tail the same way a
-/// restarting controller would).
+/// source. Read fresh from disk (recovering any torn tail the same way a
+/// restarting controller would), folding each record as it is replayed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JournalAudit {
     /// Journal rows readable.
@@ -263,22 +260,20 @@ pub struct JournalAudit {
 
 /// Audits the journal in `dir` without mutating controller state.
 pub fn audit_journal(dir: &Path) -> Result<JournalAudit, ControllerError> {
-    let table: Table<JournalRecord> = Table::open(dir, JOURNAL_TABLE)?;
     let mut ids = BTreeSet::new();
     let mut duplicate_deliveries = 0;
     let mut sealed_ticks = 0;
-    for (_, record) in table.scan() {
-        match record {
-            JournalRecord::Tick(_) => sealed_ticks += 1,
-            JournalRecord::Command(cmd) => {
-                if cmd.wire.is_some() && !ids.insert(cmd.command_id) {
-                    duplicate_deliveries += 1;
-                }
+    let log = Log::<JournalRecord>::open(dir, JOURNAL_TABLE, |change| match change {
+        Change::Put(_, JournalRecord::Tick(_)) => sealed_ticks += 1,
+        Change::Put(_, JournalRecord::Command(cmd)) => {
+            if cmd.wire.is_some() && !ids.insert(cmd.command_id) {
+                duplicate_deliveries += 1;
             }
         }
-    }
+        Change::Delete(_) => {}
+    })?;
     Ok(JournalAudit {
-        rows: table.len() as u64,
+        rows: log.len() as u64,
         delivered_ids: ids.into_iter().collect(),
         duplicate_deliveries,
         sealed_ticks,
@@ -376,7 +371,7 @@ pub fn state_digest(controller: &LocalController, zones: &[String], ticks: u64) 
 }
 
 /// What [`open_or_restore`] hands back: a controller positioned at
-/// `start_tick` with its journal attached and twins still to be replayed.
+/// `start_tick`, its device twins rebuilt from the journal it has attached.
 pub struct OpenedController {
     /// The controller, restored from the latest checkpoint when one
     /// existed, fresh otherwise.
@@ -403,13 +398,8 @@ pub fn open_or_restore(
     dir: &Path,
 ) -> Result<OpenedController, ControllerError> {
     let stopwatch = Stopwatch::start();
-    let table: Table<ControllerCheckpoint> = Table::open(dir, CHECKPOINT_TABLE)?;
-    // Highest row id = latest checkpoint (appends only).
-    let latest = table
-        .scan()
-        .max_by_key(|(id, _)| *id)
-        .map(|(_, cp)| cp.clone());
-    let checkpoints = table.into_shared();
+    let (log, latest) = open_checkpoints(dir)?;
+    let checkpoints = log.into_shared();
 
     let (mut controller, start_tick, resumed_from) = match latest {
         Some(cp) => {
@@ -433,8 +423,7 @@ pub fn open_or_restore(
         }
     };
 
-    let journal = CommandJournal::open(dir)?;
-    let replayed_commands = journal.replay_into(&controller.registry());
+    let (journal, replayed_commands) = CommandJournal::open(dir, &controller.registry())?;
     controller.attach_journal(journal);
 
     let restore_micros = stopwatch.elapsed_micros();
@@ -523,11 +512,30 @@ pub fn run_recoverable(
 /// `dir`? The crash soak's parent uses this to detect child completion
 /// independently of exit codes.
 pub fn run_complete(dir: &Path, ticks: u64) -> Result<bool, ControllerError> {
-    let table: Table<ControllerCheckpoint> = Table::open(dir, CHECKPOINT_TABLE)?;
-    Ok(table
-        .scan()
-        .max_by_key(|(id, _)| *id)
-        .is_some_and(|(_, cp)| cp.next_tick >= ticks))
+    let (_, latest) = open_checkpoints(dir)?;
+    Ok(latest.is_some_and(|cp| cp.next_tick >= ticks))
+}
+
+/// Opens the checkpoint log, keeping only the latest checkpoint as it
+/// replays: the one with the highest row id, since checkpoints are only
+/// appended. A latest checkpoint that was later deleted restores nothing
+/// (a fresh start, which the journal's dedup makes exact) rather than an
+/// older one, whose row the fold no longer holds.
+fn open_checkpoints(
+    dir: &Path,
+) -> Result<(Log<ControllerCheckpoint>, Option<ControllerCheckpoint>), ControllerError> {
+    let mut latest: Option<(u64, ControllerCheckpoint)> = None;
+    let log = Log::open(dir, CHECKPOINT_TABLE, |change| {
+        if let Change::Put(id, checkpoint) = change {
+            if latest.as_ref().is_none_or(|(at, _)| id >= *at) {
+                latest = Some((id, checkpoint));
+            }
+        }
+    })?;
+    let latest = latest
+        .filter(|(id, _)| log.last_id() == Some(*id))
+        .map(|(_, checkpoint)| checkpoint);
+    Ok((log, latest))
 }
 
 #[cfg(test)]
@@ -598,7 +606,8 @@ mod tests {
         let delivered_before = first.digest.journal_delivered;
         assert!(delivered_before > 0);
 
-        let table: Table<ControllerCheckpoint> = Table::open(dir.path(), CHECKPOINT_TABLE).unwrap();
+        let table: imcf_store::Table<ControllerCheckpoint> =
+            imcf_store::Table::open(dir.path(), CHECKPOINT_TABLE).unwrap();
         let ids: Vec<u64> = table.scan().map(|(id, _)| id).collect();
         let mut table = table;
         for id in ids {

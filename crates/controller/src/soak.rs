@@ -15,7 +15,7 @@ use crate::controller::{ControllerConfig, LocalController, TickSummary};
 use crate::deployment::{zone_names, Deployment, ZoneSlots};
 use imcf_chaos::{FaultPlan, StoreOp};
 use imcf_core::calendar::PaperCalendar;
-use imcf_store::{Table, WalOp};
+use imcf_store::{Log, WalOp};
 use imcf_traces::outage::OutagePlan;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -121,7 +121,7 @@ pub struct SoakOutcome {
 }
 
 /// Runs a soak scenario. With `journal_dir`, every tick summary is
-/// journaled to a WAL-backed table wired with the plan's store faults,
+/// journaled to a WAL-backed log wired with the plan's store faults,
 /// and the journal is torn + reopened at the end per the plan.
 pub fn run_soak(config: &SoakConfig, journal_dir: Option<&Path>) -> SoakOutcome {
     // A soak-level failure (a zone clash, an unusable journal directory)
@@ -146,11 +146,11 @@ pub fn run_soak(config: &SoakConfig, journal_dir: Option<&Path>) -> SoakOutcome 
         deployment = deployment.with_obs(config.obs_capacity);
     }
     if let Some(dir) = journal_dir {
-        match Table::open(dir, SOAK_JOURNAL) {
-            Ok(mut table) => {
+        match Log::open(dir, SOAK_JOURNAL, |_| {}) {
+            Ok(mut log) => {
                 let plan = config.plan.clone();
                 let op_index = Arc::new(AtomicU64::new(0));
-                table.set_wal_fault_hook(move |op| {
+                log.set_wal_fault_hook(move |op| {
                     let i = op_index.fetch_add(1, Ordering::SeqCst);
                     let op = match op {
                         WalOp::Append => StoreOp::Append,
@@ -164,7 +164,7 @@ pub fn run_soak(config: &SoakConfig, journal_dir: Option<&Path>) -> SoakOutcome 
                         std::io::Error::other(fault.kind())
                     })
                 });
-                deployment = deployment.with_journal(table);
+                deployment = deployment.with_journal(log);
             }
             Err(e) => {
                 return refuse(format!(
@@ -211,7 +211,7 @@ pub fn run_soak(config: &SoakConfig, journal_dir: Option<&Path>) -> SoakOutcome 
         // The whole point of the WAL is that a torn tail reopens cleanly;
         // if it does not, that is a store bug the outcome must surface —
         // still not worth killing the process that holds the counters.
-        match Table::<TickSummary>::open(dir, SOAK_JOURNAL) {
+        match Log::<TickSummary>::open(dir, SOAK_JOURNAL, |_| {}) {
             Ok(reopened) => out.journal_rows = reopened.len() as u64,
             Err(e) => {
                 out.error = Some(format!(

@@ -13,7 +13,7 @@
 
 use crate::alert::{self, AlertError, AlertExpr, AlertRule, AlertState, Transition};
 use crate::series::{Point, SeriesKind, SeriesRing};
-use imcf_store::Table;
+use imcf_store::{Change, Log};
 use imcf_telemetry::{quantile_from_buckets, Counter, Gauge, MetricView, Registry, TraceEvent};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -134,8 +134,8 @@ struct SelfHandles {
 }
 
 struct Storage {
-    windows: Table<SeriesWindow>,
-    meta: Table<ObsState>,
+    windows: Log<SeriesWindow>,
+    meta: Log<ObsState>,
     meta_id: Option<u64>,
     /// Persisted window row ids per series, oldest first (retention).
     window_ids: BTreeMap<String, Vec<u64>>,
@@ -234,43 +234,54 @@ impl ObsEngine {
         rules: Vec<AlertRule>,
     ) -> Result<ObsEngine, ObsOpenError> {
         let mut engine = ObsEngine::in_memory(config, rules).map_err(ObsOpenError::Rules)?;
-        let windows: Table<SeriesWindow> =
-            Table::open(&dir, "tsdb").map_err(|e| ObsOpenError::Store(e.to_string()))?;
-        let meta: Table<ObsState> =
-            Table::open(&dir, "tsdb_meta").map_err(|e| ObsOpenError::Store(e.to_string()))?;
+        let store = |e: imcf_store::table::TableError| ObsOpenError::Store(e.to_string());
 
-        // Rebuild each ring from its most recent persisted window; track
-        // every window id per series so retention can delete the oldest.
+        // Fold the window log as it replays: each live window's series (so
+        // retention can delete the oldest) and each series' newest window,
+        // the last one persisted, which its ring is rebuilt from.
+        let mut live: BTreeMap<u64, String> = BTreeMap::new();
+        let mut newest: BTreeMap<String, (u64, SeriesWindow)> = BTreeMap::new();
+        let windows = Log::<SeriesWindow>::open(&dir, "tsdb", |change| match change {
+            Change::Put(id, row) => {
+                live.insert(id, row.series.clone());
+                newest.insert(row.series.clone(), (id, row));
+            }
+            Change::Delete(id) => {
+                live.remove(&id);
+            }
+        })
+        .map_err(store)?;
         let mut window_ids: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        let mut latest: BTreeMap<String, (u64, u64)> = BTreeMap::new(); // series -> (end_tick, id)
-        for (id, row) in windows.scan() {
-            window_ids.entry(row.series.clone()).or_default().push(id);
-            let slot = latest.entry(row.series.clone()).or_insert((0, id));
-            if row.end_tick >= slot.0 {
-                *slot = (row.end_tick, id);
-            }
+        for (id, series) in live {
+            window_ids.entry(series).or_default().push(id);
         }
-        for ids in window_ids.values_mut() {
-            ids.sort_unstable();
-        }
-        for (series, (_, id)) in &latest {
-            if let Some(row) = windows.get(*id) {
-                let ring = SeriesRing::restore(
-                    row.kind,
-                    engine.config.capacity,
-                    engine.config.downsample_every,
-                    engine.config.coarse_capacity,
-                    row.points.clone(),
-                    row.last_raw,
-                    row.base,
-                );
-                engine.series.insert(series.clone(), ring);
+        for (series, (id, row)) in newest {
+            if !windows.contains(id) {
+                continue;
             }
+            let ring = SeriesRing::restore(
+                row.kind,
+                engine.config.capacity,
+                engine.config.downsample_every,
+                engine.config.coarse_capacity,
+                row.points,
+                row.last_raw,
+                row.base,
+            );
+            engine.series.insert(series, ring);
         }
 
-        let mut meta_id = None;
-        for (id, state) in meta.scan() {
-            meta_id = Some(id);
+        // One state row, inserted once and updated in place.
+        let mut state = None;
+        let meta = Log::<ObsState>::open(&dir, "tsdb_meta", |change| {
+            if let Change::Put(id, row) = change {
+                state = Some((id, row));
+            }
+        })
+        .map_err(store)?;
+        let state = state.filter(|(id, _)| meta.last_id() == Some(*id));
+        let meta_id = state.as_ref().map(|(id, _)| *id);
+        if let Some((_, state)) = state {
             engine.last_sample_tick = state.last_sample_tick;
             engine.samples = state.samples;
             engine.stats.samples = state.samples;
@@ -631,7 +642,7 @@ impl ObsEngine {
                 last_raw: ring.last_raw(),
                 base: ring.base(),
             };
-            match storage.windows.insert(window) {
+            match storage.windows.insert(&window) {
                 Ok(id) => {
                     self.stats.windows_persisted += 1;
                     let ids = storage.window_ids.entry(name.clone()).or_default();
@@ -657,8 +668,8 @@ impl ObsEngine {
                 .collect(),
         };
         let write = match storage.meta_id {
-            Some(id) => storage.meta.update(id, state),
-            None => match storage.meta.insert(state) {
+            Some(id) => storage.meta.update(id, &state),
+            None => match storage.meta.insert(&state) {
                 Ok(id) => {
                     storage.meta_id = Some(id);
                     Ok(())

@@ -1,11 +1,11 @@
 //! Group commit: batching concurrent durability requests into one fsync.
 //!
-//! [`SharedTable`] wraps a [`Table`] for multi-writer use. Appends
-//! serialize on the table lock (cheap buffered writes); durability goes
+//! [`SharedTable`] wraps a row-less [`Log`] for multi-writer use. Appends
+//! serialize on the log lock (cheap buffered writes); durability goes
 //! through a [`CommitQueue`]-style protocol: each `sync()` caller records
 //! the log position it needs durable, and the first caller to find no
 //! fsync in flight becomes the *leader* — it re-reads the log position
-//! under the table lock (picking up every append that raced in) and issues
+//! under the log lock (picking up every append that raced in) and issues
 //! **one** fsync for the whole batch. Callers whose position that fsync
 //! covered return without ever touching the disk; the rest elect the next
 //! leader. Under N concurrent writers this amortizes the dominant cost
@@ -17,7 +17,7 @@
 //! `group commit leader failed` error — acknowledged positions never move
 //! forward on a failed fsync.
 
-use crate::table::{Table, TableError};
+use crate::log::{Log, TableError};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::io;
@@ -44,16 +44,16 @@ struct CommitState {
 }
 
 struct Shared<T> {
-    table: Mutex<Table<T>>,
+    log: Mutex<Log<T>>,
     state: Mutex<CommitState>,
     batch_done: Condvar,
-    /// Cache of the table's log position, refreshed after every mutation,
-    /// so `sync()` reads its durability target without touching the table
-    /// lock (which would contend with concurrent appends).
+    /// Cache of the log position, refreshed after every mutation, so
+    /// `sync()` reads its durability target without touching the log lock
+    /// (which would contend with concurrent appends).
     lsn: AtomicU64,
 }
 
-/// A multi-writer handle over a [`Table`] with group-commit durability.
+/// A multi-writer handle over a [`Log`] with group-commit durability.
 pub struct SharedTable<T> {
     inner: Arc<Shared<T>>,
 }
@@ -66,13 +66,13 @@ impl<T> Clone for SharedTable<T> {
     }
 }
 
-impl<T: Serialize + DeserializeOwned + Clone> SharedTable<T> {
-    /// Wraps a table for shared multi-writer use.
-    pub fn new(table: Table<T>) -> Self {
-        let lsn = table.wal_lsn();
+impl<T: Serialize + DeserializeOwned> SharedTable<T> {
+    /// Wraps a log for shared multi-writer use.
+    pub fn new(log: Log<T>) -> Self {
+        let lsn = log.wal_lsn();
         SharedTable {
             inner: Arc::new(Shared {
-                table: Mutex::new(table),
+                log: Mutex::new(log),
                 state: Mutex::new(CommitState {
                     requested_lsn: 0,
                     durable_lsn: 0,
@@ -86,56 +86,56 @@ impl<T: Serialize + DeserializeOwned + Clone> SharedTable<T> {
         }
     }
 
-    /// Runs `f` with exclusive access to the wrapped table (scans, gets,
-    /// compaction, fault hooks — anything the plain [`Table`] API offers).
-    pub fn with<R>(&self, f: impl FnOnce(&mut Table<T>) -> R) -> R {
-        let mut table = lock(&self.inner.table);
-        let out = f(&mut table);
-        // `f` may have mutated (or compacted) the table; refresh the cache.
-        self.inner.lsn.store(table.wal_lsn(), Ordering::Release);
+    /// Runs `f` with exclusive access to the wrapped log (fault hooks,
+    /// live ids — anything the plain [`Log`] API offers).
+    pub fn with<R>(&self, f: impl FnOnce(&mut Log<T>) -> R) -> R {
+        let mut log = lock(&self.inner.log);
+        let out = f(&mut log);
+        // `f` may have appended; refresh the cache.
+        self.inner.lsn.store(log.wal_lsn(), Ordering::Release);
         out
     }
 
     /// Inserts a row and returns its id (logged, not yet durable — call
     /// [`SharedTable::sync`] for the durability point).
     pub fn insert(&self, row: T) -> Result<u64, TableError> {
-        // Encode outside the table lock: under N writers the lock guards
+        // Encode outside the log lock: under N writers the lock guards
         // only id assignment plus the (buffered) log write.
         let row_json = serde_json::to_vec(&row)?;
-        let mut table = lock(&self.inner.table);
+        let mut log = lock(&self.inner.log);
         // The append IS the serialization point: id assignment and log
-        // order must agree, so it runs under the table lock by design.
+        // order must agree, so it runs under the log lock by design.
         // The slow operation (fsync) happens outside the lock in sync().
         // imcf-lint: allow(L007)
-        let id = table.insert_with_encoded_row(row, &row_json)?;
-        self.inner.lsn.store(table.wal_lsn(), Ordering::Release);
+        let id = log.insert_encoded(&row_json)?;
+        self.inner.lsn.store(log.wal_lsn(), Ordering::Release);
         Ok(id)
     }
 
     /// Replaces the row at `id`.
     pub fn update(&self, id: u64, row: T) -> Result<(), TableError> {
-        let mut table = lock(&self.inner.table);
-        table.update(id, row)?;
-        self.inner.lsn.store(table.wal_lsn(), Ordering::Release);
+        let mut log = lock(&self.inner.log);
+        log.update(id, &row)?;
+        self.inner.lsn.store(log.wal_lsn(), Ordering::Release);
         Ok(())
     }
 
     /// Deletes the row at `id`.
     pub fn delete(&self, id: u64) -> Result<(), TableError> {
-        let mut table = lock(&self.inner.table);
-        table.delete(id)?;
-        self.inner.lsn.store(table.wal_lsn(), Ordering::Release);
+        let mut log = lock(&self.inner.log);
+        log.delete(id)?;
+        self.inner.lsn.store(log.wal_lsn(), Ordering::Release);
         Ok(())
     }
 
     /// Number of live rows.
     pub fn len(&self) -> usize {
-        lock(&self.inner.table).len()
+        lock(&self.inner.log).len()
     }
 
-    /// True when the table has no rows.
+    /// True when the log has no live rows.
     pub fn is_empty(&self) -> bool {
-        lock(&self.inner.table).is_empty()
+        lock(&self.inner.log).is_empty()
     }
 
     /// Makes everything appended so far durable, batching with every other
@@ -161,14 +161,14 @@ impl<T: Serialize + DeserializeOwned + Clone> SharedTable<T> {
                 let batch = st.pending.max(1);
                 st.pending = 0;
                 drop(st);
-                // Re-read the position under the table lock (the fsync
+                // Re-read the position under the log lock (the fsync
                 // also covers appends that landed while we queued), but
                 // run the fsync itself on a duplicated file handle with
                 // the lock RELEASED — writers keep appending during the
                 // disk wait, which is what lets the next batch grow.
                 let prep = {
-                    let mut table = lock(&self.inner.table);
-                    table.sync_prepare()
+                    let mut log = lock(&self.inner.log);
+                    log.sync_prepare()
                 };
                 let (goal, result) = match prep {
                     Ok((goal, file)) => (goal, file.sync_data().map_err(TableError::from)),
@@ -212,12 +212,12 @@ impl<T: Serialize + DeserializeOwned + Clone> SharedTable<T> {
     /// Immediate fsync bypassing the group-commit queue — the per-caller
     /// durability baseline the benchmarks compare against.
     pub fn sync_direct(&self) -> Result<(), TableError> {
-        lock(&self.inner.table).sync()
+        lock(&self.inner.log).sync()
     }
 }
 
-impl<T: Serialize + DeserializeOwned + Clone> Table<T> {
-    /// Converts this table into a multi-writer group-commit handle.
+impl<T: Serialize + DeserializeOwned> Log<T> {
+    /// Converts this log into a multi-writer group-commit handle.
     pub fn into_shared(self) -> SharedTable<T> {
         SharedTable::new(self)
     }
@@ -226,6 +226,7 @@ impl<T: Serialize + DeserializeOwned + Clone> Table<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Table;
     use serde::Deserialize;
 
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -241,8 +242,8 @@ mod tests {
     fn shared_insert_sync_reopen() {
         let dir = tempfile::tempdir().unwrap();
         {
-            let t: Table<Row> = Table::open(dir.path(), "rows").unwrap();
-            let shared = t.into_shared();
+            let log: Log<Row> = Log::open(dir.path(), "rows", |_| {}).unwrap();
+            let shared = log.into_shared();
             shared.insert(row("a")).unwrap();
             shared.insert(row("b")).unwrap();
             shared.sync().unwrap();
@@ -256,7 +257,7 @@ mod tests {
     #[test]
     fn sync_is_idempotent_when_already_durable() {
         let dir = tempfile::tempdir().unwrap();
-        let shared = Table::<Row>::open(dir.path(), "rows")
+        let shared = Log::<Row>::open(dir.path(), "rows", |_| {})
             .unwrap()
             .into_shared();
         shared.insert(row("x")).unwrap();
@@ -270,7 +271,7 @@ mod tests {
     fn failed_leader_fsync_fails_the_caller_and_acknowledges_nothing() {
         use crate::wal::WalOp;
         let dir = tempfile::tempdir().unwrap();
-        let shared = Table::<Row>::open(dir.path(), "rows")
+        let shared = Log::<Row>::open(dir.path(), "rows", |_| {})
             .unwrap()
             .into_shared();
         shared.insert(row("x")).unwrap();
@@ -280,7 +281,7 @@ mod tests {
             })
         });
         assert!(matches!(shared.sync(), Err(TableError::Io(_))));
-        shared.with(Table::clear_wal_fault_hook);
+        shared.with(Log::clear_wal_fault_hook);
         shared.sync().unwrap();
     }
 
@@ -290,7 +291,7 @@ mod tests {
         const PER_WRITER: usize = 25;
         let dir = tempfile::tempdir().unwrap();
         {
-            let shared = Table::<Row>::open(dir.path(), "rows")
+            let shared = Log::<Row>::open(dir.path(), "rows", |_| {})
                 .unwrap()
                 .into_shared();
             std::thread::scope(|s| {

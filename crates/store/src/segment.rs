@@ -15,9 +15,17 @@
 //! removed, exactly as bytes after a torn record are discarded within one
 //! file. The seed's single-file layout `<table>.wal` is migrated on open
 //! by renaming it to segment 1.
+//!
+//! Open replays the records through a visitor one segment at a time, and
+//! within a segment one record at a time, so replay memory is one record
+//! however long the history. The visitor may refuse a record (one that
+//! does not decode): the log then ends right before it, and every later
+//! segment is removed, so no later append can land beyond records that
+//! will never replay.
 
 use crate::wal::{Wal, WalFaultHook, WalOp};
 use std::io;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -53,21 +61,8 @@ impl SegmentConfig {
 /// A sealed (read-only) segment.
 #[derive(Debug, Clone)]
 struct SealedSegment {
-    seq: u64,
     path: PathBuf,
     bytes: u64,
-}
-
-/// One record recovered at open, with the coordinates needed to truncate
-/// the log right after it (or right before it, via the previous record).
-#[derive(Debug, Clone)]
-pub struct RecoveredRecord {
-    /// Sequence number of the segment holding the record.
-    pub seq: u64,
-    /// Byte offset within that segment at which the record ends.
-    pub end_offset: u64,
-    /// The record payload.
-    pub payload: Vec<u8>,
 }
 
 /// The path of segment `seq` of table `name` in `dir`.
@@ -108,14 +103,21 @@ pub struct SegmentedLog {
     /// monotonic across truncation so group commit can compare positions.
     base: u64,
     faults: Option<Arc<WalFaultHook>>,
-    recovered: Vec<RecoveredRecord>,
 }
 
 impl SegmentedLog {
     /// Opens (or creates) the segmented log for table `name` in `dir`,
-    /// migrating a legacy single-file `<name>.wal` to segment 1 and
-    /// applying the cross-segment torn-tail discipline.
-    pub fn open(dir: &Path, name: &str, config: SegmentConfig) -> io::Result<SegmentedLog> {
+    /// migrating a legacy single-file `<name>.wal` to segment 1, applying
+    /// the cross-segment torn-tail discipline, and handing every record to
+    /// `visit` in sequence order. A record `visit` breaks at ends the log:
+    /// its segment is truncated right before it and every later segment is
+    /// removed.
+    pub fn open(
+        dir: &Path,
+        name: &str,
+        config: SegmentConfig,
+        mut visit: impl FnMut(&[u8]) -> ControlFlow<()>,
+    ) -> io::Result<SegmentedLog> {
         let legacy = dir.join(format!("{name}.wal"));
         let mut segs = segment_files(dir, name)?;
         if segs.is_empty() && legacy.is_file() {
@@ -135,7 +137,6 @@ impl SegmentedLog {
                 active_seq: 1,
                 base: 0,
                 faults: None,
-                recovered: Vec::new(),
             });
         }
 
@@ -147,22 +148,29 @@ impl SegmentedLog {
         // physical length is the crash point: every later segment is the
         // debris of an interrupted roll and must not replay (appends after
         // the tear would otherwise land beyond never-replayed records).
-        if let Some(cut) = wals.iter().position(Wal::has_torn_tail) {
+        let mut cut = wals.iter().position(Wal::has_torn_tail);
+        let mut refused = None;
+        for (i, wal) in wals.iter_mut().enumerate() {
+            if cut.is_some_and(|cut| i > cut) {
+                break;
+            }
+            if let Some(start) = wal.replay(&mut visit)? {
+                cut = Some(i);
+                refused = Some(start);
+                break;
+            }
+        }
+        if let Some(cut) = cut {
             for (_, path) in segs.drain(cut.saturating_add(1)..) {
                 std::fs::remove_file(path)?;
             }
             wals.truncate(cut.saturating_add(1));
         }
-
-        let mut recovered = Vec::new();
-        for ((seq, _), wal) in segs.iter().zip(wals.iter_mut()) {
-            for (end_offset, payload) in wal.read_all_with_offsets()? {
-                recovered.push(RecoveredRecord {
-                    seq: *seq,
-                    end_offset,
-                    payload,
-                });
-            }
+        // Truncate only once the later segments are gone: a crash in
+        // between leaves the refused record in place, so the next open
+        // stops at it again instead of replaying what lies beyond.
+        if let (Some(start), Some(wal)) = (refused, wals.last_mut()) {
+            wal.truncate_to(start)?;
         }
 
         let active = wals
@@ -172,8 +180,7 @@ impl SegmentedLog {
         let sealed: Vec<SealedSegment> = segs[..segs.len() - 1]
             .iter()
             .zip(wals.iter())
-            .map(|((seq, path), wal)| SealedSegment {
-                seq: *seq,
+            .map(|((_, path), wal)| SealedSegment {
                 path: path.clone(),
                 bytes: wal.len_bytes(),
             })
@@ -189,14 +196,7 @@ impl SegmentedLog {
             active_seq,
             base: 0,
             faults: None,
-            recovered,
         })
-    }
-
-    /// Takes the records recovered at open (segment order, then file
-    /// order). Subsequent calls return an empty vec.
-    pub fn take_recovered(&mut self) -> Vec<RecoveredRecord> {
-        std::mem::take(&mut self.recovered)
     }
 
     /// Installs a fault hook consulted before every append, sync, seal,
@@ -253,7 +253,6 @@ impl SegmentedLog {
         let old = std::mem::replace(&mut self.active, next);
         self.sealed_bytes = self.sealed_bytes.saturating_add(old.len_bytes());
         self.sealed.push(SealedSegment {
-            seq: self.active_seq,
             path: old.path().to_path_buf(),
             bytes: old.len_bytes(),
         });
@@ -275,26 +274,6 @@ impl SegmentedLog {
     pub(crate) fn sync_handle(&self) -> io::Result<std::fs::File> {
         self.check_fault(WalOp::Sync)?;
         self.active.file_clone()
-    }
-
-    /// Truncates the log so that segment `seq` ends at `offset` and no
-    /// later segment exists; segment `seq` becomes the active tail. Used
-    /// when replay stops mid-log (undecodable record) so later appends can
-    /// never land beyond never-replayed records.
-    pub fn truncate_to(&mut self, seq: u64, offset: u64) -> io::Result<()> {
-        while self.active_seq > seq {
-            std::fs::remove_file(self.active.path())?;
-            let prev = self
-                .sealed
-                .pop()
-                .ok_or_else(|| io::Error::other("truncate_to below the first segment"))?;
-            self.sealed_bytes = self.sealed_bytes.saturating_sub(prev.bytes);
-            let mut wal = Wal::open(&prev.path)?;
-            wal.set_fault_hook_shared(self.faults.clone());
-            self.active = wal;
-            self.active_seq = prev.seq;
-        }
-        self.active.truncate_to(offset)
     }
 
     /// Drops every record in the log: truncates the active segment and
@@ -344,17 +323,23 @@ impl SegmentedLog {
 mod tests {
     use super::*;
 
+    /// 64-byte threshold: a handful of records per segment.
+    fn config() -> SegmentConfig {
+        SegmentConfig::with_segment_bytes(64)
+    }
+
     fn tiny(dir: &Path) -> SegmentedLog {
-        // 64-byte threshold: a handful of records per segment.
-        SegmentedLog::open(dir, "t", SegmentConfig::with_segment_bytes(64)).unwrap()
+        SegmentedLog::open(dir, "t", config(), |_| ControlFlow::Continue(())).unwrap()
     }
 
     fn replay(dir: &Path) -> Vec<Vec<u8>> {
-        let mut log = tiny(dir);
-        log.take_recovered()
-            .into_iter()
-            .map(|r| r.payload)
-            .collect()
+        let mut records = Vec::new();
+        SegmentedLog::open(dir, "t", config(), |payload| {
+            records.push(payload.to_vec());
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        records
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl Store {
     /// Opens a typed table by name.
     pub fn table<T>(&self, name: &str) -> Result<Table<T>, StoreError>
     where
-        T: Serialize + DeserializeOwned + Clone,
+        T: Serialize + DeserializeOwned,
     {
         if name.is_empty() || name.contains(['/', '\\', '.']) {
             return Err(StoreError::InvalidTableName(name.to_string()));

@@ -1,17 +1,10 @@
 //! Typed tables over the segmented WAL.
 //!
 //! A [`Table<T>`] stores rows of any `Serialize + DeserializeOwned` type,
-//! keyed by a `u64` row id the table assigns. Mutations are WAL-logged as
-//! JSON operations before the in-memory index changes; a compaction
-//! persists the whole index as a snapshot and drops the log segments.
-//!
-//! On-disk layout for a table named `readings` in directory `dir`:
-//!
-//! ```text
-//! dir/readings.snap      — JSON snapshot: { next_id, rows: { id -> row } }
-//! dir/readings.wal.<seq> — redo-log segments since the snapshot; the
-//!                          highest sequence number is the active tail
-//! ```
+//! keyed by a `u64` row id the table assigns. It is a [`Log<T>`] plus the
+//! rows: every mutation is logged before the in-memory index changes, and
+//! a compaction persists the whole index as a snapshot and drops the log
+//! segments. The on-disk layout is the log's (see [`crate::log`]).
 //!
 //! Compaction durability order (each step is a barrier for the next):
 //! temp snapshot written **and fsynced**, renamed over the live snapshot,
@@ -19,73 +12,25 @@
 //! at any point leaves either the old snapshot + full log or the new
 //! snapshot (+ a replayable, idempotent log suffix), never a hole.
 
-use crate::segment::{SegmentConfig, SegmentedLog};
-use crate::wal::{WalOp, HEADER_LEN};
+use crate::log::{snapshot_path, Change, Log};
+use crate::segment::SegmentConfig;
+use crate::wal::WalOp;
 use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-/// A logged mutation.
-#[derive(Debug, Serialize, Deserialize)]
-enum Op<T> {
-    Insert { id: u64, row: T },
-    Update { id: u64, row: T },
-    Delete { id: u64 },
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct Snapshot<T> {
-    next_id: u64,
-    rows: BTreeMap<u64, T>,
-}
-
-/// Errors from table operations.
-#[derive(Debug)]
-pub enum TableError {
-    /// An I/O failure from the log or snapshot files.
-    Io(io::Error),
-    /// A serialization failure.
-    Codec(serde_json::Error),
-    /// The row id does not exist.
-    NoSuchRow(u64),
-}
-
-impl std::fmt::Display for TableError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TableError::Io(e) => write!(f, "i/o error: {e}"),
-            TableError::Codec(e) => write!(f, "codec error: {e}"),
-            TableError::NoSuchRow(id) => write!(f, "no such row {id}"),
-        }
-    }
-}
-
-impl std::error::Error for TableError {}
-
-impl From<io::Error> for TableError {
-    fn from(e: io::Error) -> Self {
-        TableError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for TableError {
-    fn from(e: serde_json::Error) -> Self {
-        TableError::Codec(e)
-    }
-}
+pub use crate::log::TableError;
 
 /// A persistent, WAL-backed table of typed rows.
 pub struct Table<T> {
-    name: String,
+    log: Log<T>,
     snap_path: PathBuf,
-    log: SegmentedLog,
     rows: BTreeMap<u64, T>,
-    next_id: u64,
 }
 
-impl<T: Serialize + DeserializeOwned + Clone> Table<T> {
+impl<T: Serialize + DeserializeOwned> Table<T> {
     /// Opens (or creates) the table `name` in `dir` with the default
     /// segment configuration.
     pub fn open(dir: impl AsRef<Path>, name: &str) -> Result<Table<T>, TableError> {
@@ -99,127 +44,39 @@ impl<T: Serialize + DeserializeOwned + Clone> Table<T> {
         name: &str,
         config: SegmentConfig,
     ) -> Result<Table<T>, TableError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let snap_path = dir.join(format!("{name}.snap"));
-
-        // A `.snap.tmp` left behind by a crash mid-compaction is garbage:
-        // the rename never happened, so the live snapshot is still the
-        // authority. Remove the orphan so it cannot accumulate.
-        let orphan = snap_path.with_extension("snap.tmp");
-        match std::fs::remove_file(&orphan) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-
-        let (mut rows, mut next_id) = match std::fs::read(&snap_path) {
-            Ok(bytes) => {
-                let snap: Snapshot<T> = serde_json::from_slice(&bytes)?;
-                (snap.rows, snap.next_id)
+        let mut rows = BTreeMap::new();
+        let log = Log::open_with(&dir, name, config, |change| match change {
+            Change::Put(id, row) => {
+                rows.insert(id, row);
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => (BTreeMap::new(), 0),
-            Err(e) => return Err(e.into()),
-        };
-
-        let recovery = imcf_telemetry::Stopwatch::start();
-        let mut log = SegmentedLog::open(dir, name, config)?;
-        for record in log.take_recovered() {
-            match serde_json::from_slice::<Op<T>>(&record.payload) {
-                Ok(op) => match op {
-                    Op::Insert { id, row } => {
-                        rows.insert(id, row);
-                        next_id = next_id.max(id + 1);
-                    }
-                    Op::Update { id, row } => {
-                        rows.insert(id, row);
-                    }
-                    Op::Delete { id } => {
-                        rows.remove(&id);
-                    }
-                },
-                Err(_) => {
-                    // A CRC-valid record that fails to decode (a version
-                    // mismatch) ends replay — and must also end the *log*,
-                    // truncated right before the undecodable record.
-                    // Otherwise later appends would land beyond records
-                    // that are silently never replayed on the next open.
-                    let framed = (HEADER_LEN + record.payload.len()) as u64;
-                    let start = record.end_offset.saturating_sub(framed);
-                    log.truncate_to(record.seq, start)?;
-                    break;
-                }
+            Change::Delete(id) => {
+                rows.remove(&id);
             }
-        }
-        imcf_telemetry::global()
-            .histogram("store.recovery_micros")
-            .observe(recovery.elapsed_micros() as f64);
-        let table = Table {
-            name: name.to_string(),
-            snap_path,
+        })?;
+        Ok(Table {
             log,
+            snap_path: snapshot_path(dir.as_ref(), name),
             rows,
-            next_id,
-        };
-        table.update_segment_gauge();
-        Ok(table)
-    }
-
-    fn update_segment_gauge(&self) {
-        imcf_telemetry::global()
-            .gauge_with("store.segments", &[("table", &self.name)])
-            .set(self.log.segment_count() as f64);
+        })
     }
 
     /// Inserts a row and returns its id.
     pub fn insert(&mut self, row: T) -> Result<u64, TableError> {
-        let row_json = serde_json::to_vec(&row)?;
-        self.insert_with_encoded_row(row, &row_json)
-    }
-
-    /// Insert with the row JSON already encoded — [`crate::commit`] uses
-    /// this to keep serialization outside the table lock. The op record is
-    /// assembled by hand in the exact shape `Op::Insert` serializes to, so
-    /// replay decodes it identically.
-    pub(crate) fn insert_with_encoded_row(
-        &mut self,
-        row: T,
-        row_json: &[u8],
-    ) -> Result<u64, TableError> {
-        let id = self.next_id;
-        let mut payload = Vec::with_capacity(row_json.len() + 32);
-        payload.extend_from_slice(b"{\"Insert\":{\"id\":");
-        payload.extend_from_slice(id.to_string().as_bytes());
-        payload.extend_from_slice(b",\"row\":");
-        payload.extend_from_slice(row_json);
-        payload.extend_from_slice(b"}}");
-        self.log.append(&payload)?;
+        let id = self.log.insert(&row)?;
         self.rows.insert(id, row);
-        self.next_id += 1;
         Ok(id)
     }
 
     /// Replaces the row at `id`.
     pub fn update(&mut self, id: u64, row: T) -> Result<(), TableError> {
-        if !self.rows.contains_key(&id) {
-            return Err(TableError::NoSuchRow(id));
-        }
-        let op = Op::Update {
-            id,
-            row: row.clone(),
-        };
-        self.log.append(&serde_json::to_vec(&op)?)?;
+        self.log.update(id, &row)?;
         self.rows.insert(id, row);
         Ok(())
     }
 
     /// Deletes the row at `id`.
     pub fn delete(&mut self, id: u64) -> Result<(), TableError> {
-        if !self.rows.contains_key(&id) {
-            return Err(TableError::NoSuchRow(id));
-        }
-        let op: Op<T> = Op::Delete { id };
-        self.log.append(&serde_json::to_vec(&op)?)?;
+        self.log.delete(id)?;
         self.rows.remove(&id);
         Ok(())
     }
@@ -244,20 +101,14 @@ impl<T: Serialize + DeserializeOwned + Clone> Table<T> {
         self.rows.is_empty()
     }
 
-    /// Forces the WAL to disk.
-    pub fn sync(&mut self) -> Result<(), TableError> {
-        self.log.sync()?;
-        Ok(())
+    /// The log under the rows: its size, segments and position.
+    pub fn log(&self) -> &Log<T> {
+        &self.log
     }
 
-    /// Snapshot of the current log position plus a file handle that, once
-    /// `sync_data`-ed, makes everything up to that position durable. The
-    /// group commit leader calls this under the table lock, then fsyncs
-    /// the handle with the lock released so writers keep appending.
-    pub(crate) fn sync_prepare(&mut self) -> Result<(u64, std::fs::File), TableError> {
-        let goal = self.log.lsn();
-        let file = self.log.sync_handle()?;
-        Ok((goal, file))
+    /// Forces the WAL to disk.
+    pub fn sync(&mut self) -> Result<(), TableError> {
+        self.log.sync()
     }
 
     /// Persists the full state as a snapshot and truncates the log
@@ -268,7 +119,7 @@ impl<T: Serialize + DeserializeOwned + Clone> Table<T> {
         for (id, row) in &self.rows {
             parts.push(encode_pair(*id, row)?);
         }
-        let bytes = assemble_snapshot(self.next_id, &parts);
+        let bytes = assemble_snapshot(self.log.next_id(), &parts);
         self.finish_compaction(bytes)
     }
 
@@ -292,56 +143,26 @@ impl<T: Serialize + DeserializeOwned + Clone> Table<T> {
         }
         self.log.truncate_all()?;
         imcf_telemetry::global().counter("store.compactions").inc();
-        self.update_segment_gauge();
         Ok(())
     }
 
-    /// Bytes currently in the WAL segments (useful for compaction
-    /// policies).
-    pub fn wal_bytes(&self) -> u64 {
-        self.log.tail_bytes()
-    }
-
-    /// Number of on-disk log segments (sealed + active).
-    pub fn segment_count(&self) -> usize {
-        self.log.segment_count()
-    }
-
-    /// Number of sealed (read-only) segments awaiting compaction.
-    pub fn sealed_count(&self) -> usize {
-        self.log.sealed_count()
-    }
-
-    /// Monotonic log position (bytes ever appended); group commit compares
-    /// these positions to decide which callers an fsync satisfied.
-    pub fn wal_lsn(&self) -> u64 {
-        self.log.lsn()
-    }
-
-    /// The table name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Installs a fault hook on the underlying log (see
-    /// [`crate::wal::Wal::set_fault_hook`]). Injected errors surface from
-    /// `insert` / `update` / `delete` / `sync` / `snapshot` / `compact` as
-    /// [`TableError::Io`]; the in-memory index is not mutated when the log
-    /// write fails.
+    /// [`Log::set_wal_fault_hook`]); the in-memory index is not mutated
+    /// when the log write fails.
     pub fn set_wal_fault_hook<F>(&mut self, hook: F)
     where
         F: Fn(WalOp) -> Option<io::Error> + Send + Sync + 'static,
     {
-        self.log.set_fault_hook(hook);
+        self.log.set_wal_fault_hook(hook);
     }
 
     /// Removes the WAL fault hook.
     pub fn clear_wal_fault_hook(&mut self) {
-        self.log.clear_fault_hook();
+        self.log.clear_wal_fault_hook();
     }
 }
 
-impl<T: Serialize + DeserializeOwned + Clone + Send + Sync> Table<T> {
+impl<T: Serialize + DeserializeOwned + Send + Sync> Table<T> {
     /// Compacts the table: rewrites the live rows into a fresh snapshot —
     /// row encoding fanned out over `jobs` `imcf-pool` workers — and drops
     /// the log segments. The snapshot bytes are byte-identical for any
@@ -357,7 +178,7 @@ impl<T: Serialize + DeserializeOwned + Clone + Send + Sync> Table<T> {
         for part in encoded {
             parts.push(part.map_err(io::Error::other)?);
         }
-        let bytes = assemble_snapshot(self.next_id, &parts);
+        let bytes = assemble_snapshot(self.log.next_id(), &parts);
         self.finish_compaction(bytes)
     }
 }
@@ -370,7 +191,8 @@ fn encode_pair<T: Serialize>(id: u64, row: &T) -> Result<Vec<u8>, TableError> {
 }
 
 /// Assembles the snapshot document from pre-encoded `id: row` members.
-/// The layout matches what `serde_json` produces for [`Snapshot`], so
+/// The layout matches what `serde_json` produces for a
+/// [`crate::log::Snapshot`], so
 /// snapshots written by any engine version parse identically.
 fn assemble_snapshot(next_id: u64, parts: &[Vec<u8>]) -> Vec<u8> {
     let body: usize = parts.iter().map(Vec::len).sum();
@@ -389,7 +211,9 @@ fn assemble_snapshot(next_id: u64, parts: &[Vec<u8>]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::Snapshot;
     use crate::segment::segment_path;
+    use serde::Deserialize;
 
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
     struct Pref {
@@ -458,9 +282,9 @@ mod tests {
             for i in 0..10 {
                 t.insert(pref(&format!("u{i}"), i as f64)).unwrap();
             }
-            assert!(t.wal_bytes() > 0);
+            assert!(t.log().wal_bytes() > 0);
             t.snapshot().unwrap();
-            assert_eq!(t.wal_bytes(), 0);
+            assert_eq!(t.log().wal_bytes(), 0);
             // Post-snapshot mutations land in the fresh WAL.
             t.insert(pref("late", 9.0)).unwrap();
         }
@@ -577,7 +401,10 @@ mod tests {
         // compaction reports the error and every row stays recoverable
         // (replaying the untruncated log over the snapshot is idempotent).
         assert!(matches!(t.snapshot(), Err(TableError::Io(_))));
-        assert!(t.wal_bytes() > 0, "log must survive the failed truncate");
+        assert!(
+            t.log().wal_bytes() > 0,
+            "log must survive the failed truncate"
+        );
         drop(t);
         let t: Table<Pref> = Table::open(dir.path(), "prefs").unwrap();
         assert_eq!(t.len(), 5);
@@ -598,7 +425,7 @@ mod tests {
         assert!(matches!(t.compact(2), Err(TableError::Io(_))));
         // Nothing was published and the log is untouched.
         assert!(!dir.path().join("prefs.snap").exists());
-        assert!(t.wal_bytes() > 0);
+        assert!(t.log().wal_bytes() > 0);
     }
 
     #[test]

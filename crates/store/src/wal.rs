@@ -15,16 +15,17 @@
 //! as the debris of an interrupted write and truncated on the next append.
 
 use crate::crc32::crc32;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 /// Maximum payload size accepted per record (16 MiB) — a guard against
 /// reading garbage lengths from a corrupt header.
 pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
 
-pub(crate) const HEADER_LEN: usize = 8;
+const HEADER_LEN: usize = 8;
 
 /// Fault hook consulted before each append / sync: `Some(err)` fails the
 /// operation with that error before any bytes reach the file. Installed by
@@ -70,7 +71,7 @@ impl Wal {
             .create(true)
             .open(&path)?;
         let physical_len = file.metadata()?.len();
-        let valid_len = Self::scan_valid_prefix(&mut file)?;
+        let (valid_len, _) = read_records(&mut file, physical_len, |_| ControlFlow::Continue(()))?;
         Ok(Wal {
             path,
             file,
@@ -101,36 +102,6 @@ impl Wal {
 
     fn injected_fault(&self, op: WalOp) -> Option<io::Error> {
         self.faults.as_ref().and_then(|hook| hook(op))
-    }
-
-    fn scan_valid_prefix(file: &mut File) -> io::Result<u64> {
-        file.seek(SeekFrom::Start(0))?;
-        let mut reader = io::BufReader::new(&mut *file);
-        let mut offset = 0u64;
-        loop {
-            let mut header = [0u8; HEADER_LEN];
-            match reader.read_exact(&mut header) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e),
-            }
-            let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-            let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-            if len > MAX_RECORD_LEN {
-                break;
-            }
-            let mut payload = vec![0u8; len as usize];
-            match reader.read_exact(&mut payload) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e),
-            }
-            if crc32(&payload) != crc {
-                break;
-            }
-            offset += (HEADER_LEN + len as usize) as u64;
-        }
-        Ok(offset)
     }
 
     /// The log file path.
@@ -200,42 +171,17 @@ impl Wal {
         self.file.try_clone()
     }
 
-    /// Reads every valid record from the start of the log.
-    pub fn read_all(&mut self) -> io::Result<Vec<Vec<u8>>> {
-        Ok(self
-            .read_all_with_offsets()?
-            .into_iter()
-            .map(|(_, payload)| payload)
-            .collect())
-    }
-
-    /// Reads every valid record along with the byte offset at which each
-    /// record *ends* — the truncation point that keeps that record and
-    /// drops everything after it.
-    pub fn read_all_with_offsets(&mut self) -> io::Result<Vec<(u64, Vec<u8>)>> {
-        self.file.seek(SeekFrom::Start(0))?;
-        let mut data = Vec::with_capacity(self.valid_len as usize);
-        io::Read::by_ref(&mut self.file)
-            .take(self.valid_len)
-            .read_to_end(&mut data)?;
-        let mut records = Vec::new();
-        let mut cursor = &data[..];
-        let mut offset = 0u64;
-        while cursor.len() >= HEADER_LEN {
-            let len = cursor.get_u32_le() as usize;
-            let crc = cursor.get_u32_le();
-            if cursor.len() < len {
-                break;
-            }
-            let payload = cursor[..len].to_vec();
-            cursor.advance(len);
-            if crc32(&payload) != crc {
-                break;
-            }
-            offset = offset.saturating_add((HEADER_LEN + len) as u64);
-            records.push((offset, payload));
-        }
-        Ok(records)
+    /// Streams every valid record to `visit`, in file order, through one
+    /// buffered reader and one reused payload buffer: replay memory is one
+    /// record, not the file. When `visit` breaks, returns the byte offset
+    /// at which that record starts — the truncation point that drops it
+    /// and everything after it.
+    pub fn replay(
+        &mut self,
+        visit: impl FnMut(&[u8]) -> ControlFlow<()>,
+    ) -> io::Result<Option<u64>> {
+        let (_, broke_at) = read_records(&mut self.file, self.valid_len, visit)?;
+        Ok(broke_at)
     }
 
     /// Physically drops any torn-tail debris beyond the valid prefix,
@@ -269,9 +215,63 @@ impl Wal {
     }
 }
 
+/// Reads the records in the first `limit` bytes of `file` and hands each
+/// CRC-valid payload to `visit`, stopping at the first torn or corrupt
+/// one. Returns the offset at which the last record read ends and, when
+/// `visit` broke, the offset at which the record it broke at starts.
+fn read_records(
+    file: &mut File,
+    limit: u64,
+    mut visit: impl FnMut(&[u8]) -> ControlFlow<()>,
+) -> io::Result<(u64, Option<u64>)> {
+    file.seek(SeekFrom::Start(0))?;
+    let mut reader = io::BufReader::new(file.take(limit));
+    let mut payload = Vec::new();
+    let mut offset = 0u64;
+    loop {
+        let mut header = [0u8; HEADER_LEN];
+        match reader.read_exact(&mut header) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
+            Err(e) => return Err(e),
+        }
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+        let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+        if len > MAX_RECORD_LEN {
+            break;
+        }
+        payload.resize(len as usize, 0);
+        match reader.read_exact(&mut payload) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
+            Err(e) => return Err(e),
+        }
+        if crc32(&payload) != crc {
+            break;
+        }
+        if visit(&payload).is_break() {
+            return Ok((offset, Some(offset)));
+        }
+        offset += (HEADER_LEN + payload.len()) as u64;
+    }
+    Ok((offset, None))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Wal {
+        /// Every valid record, collected.
+        fn read_all(&mut self) -> io::Result<Vec<Vec<u8>>> {
+            let mut records = Vec::new();
+            self.replay(|payload| {
+                records.push(payload.to_vec());
+                ControlFlow::Continue(())
+            })?;
+            Ok(records)
+        }
+    }
 
     fn temp_wal() -> (tempfile::TempDir, Wal) {
         let dir = tempfile::tempdir().unwrap();

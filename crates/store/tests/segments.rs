@@ -10,12 +10,13 @@
 
 use serde::{Deserialize, Serialize};
 use std::fs::OpenOptions;
+use std::ops::ControlFlow;
 use std::path::Path;
 use tempfile::tempdir;
 
 use imcf_store::segment::{segment_files, SegmentConfig};
 use imcf_store::table::Table;
-use imcf_store::WalOp;
+use imcf_store::{Change, Log, Wal, WalOp};
 
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct Row {
@@ -187,8 +188,8 @@ fn clean_reopen_of_multi_segment_log_replays_everything() {
     for i in 0..40 {
         assert_eq!(t.get(i as u64), Some(&row(i)));
     }
-    assert_eq!(t.segment_count(), files.len());
-    assert_eq!(t.sealed_count(), files.len() - 1);
+    assert_eq!(t.log().segment_count(), files.len());
+    assert_eq!(t.log().sealed_count(), files.len() - 1);
 }
 
 /// The compaction crash window: the fresh snapshot is published (temp
@@ -252,10 +253,14 @@ fn compaction_collapses_segments_and_preserves_state() {
     populate(dir.path(), 40);
     {
         let mut t = open_small(dir.path());
-        assert!(t.sealed_count() > 0);
+        assert!(t.log().sealed_count() > 0);
         t.compact(4).unwrap();
-        assert_eq!(t.wal_bytes(), 0);
-        assert_eq!(t.sealed_count(), 0, "compaction drops sealed segments");
+        assert_eq!(t.log().wal_bytes(), 0);
+        assert_eq!(
+            t.log().sealed_count(),
+            0,
+            "compaction drops sealed segments"
+        );
     }
     // Only the (empty) active segment remains on disk.
     let files = segment_files(dir.path(), "rows").unwrap();
@@ -265,4 +270,92 @@ fn compaction_collapses_segments_and_preserves_state() {
     for i in 0..40 {
         assert_eq!(t.get(i as u64), Some(&row(i)));
     }
+}
+
+/// Appends a CRC-valid record that is no decodable operation — the shape
+/// of a version-mismatched write — to a sealed segment in the middle of a
+/// 40-row log. Returns that segment's sequence number and the rows the
+/// segments up to it hold, which is what replay must stop after.
+fn plant_undecodable_in_sealed_segment(dir: &Path) -> (u64, usize) {
+    let files = populate(dir, 40);
+    let (cut_seq, cut_path) = files[files.len() / 2].clone();
+    let rows_through_cut: usize = files
+        .iter()
+        .filter(|(seq, _)| *seq <= cut_seq)
+        .map(|(_, path)| {
+            let mut count = 0;
+            Wal::open(path)
+                .unwrap()
+                .replay(|_| {
+                    count += 1;
+                    ControlFlow::Continue(())
+                })
+                .unwrap();
+            count
+        })
+        .sum();
+    assert!(
+        rows_through_cut < 40,
+        "the cut segment must not be the last"
+    );
+    let mut wal = Wal::open(&cut_path).unwrap();
+    wal.append(b"{\"not\":\"an op\"}").unwrap();
+    wal.sync().unwrap();
+    (cut_seq, rows_through_cut)
+}
+
+/// The highest segment sequence number left on disk.
+fn last_seq(dir: &Path) -> u64 {
+    segment_files(dir, "rows").unwrap().last().unwrap().0
+}
+
+#[test]
+fn undecodable_record_in_a_sealed_segment_ends_the_table_there() {
+    let dir = tempdir().unwrap();
+    let (cut_seq, survivors) = plant_undecodable_in_sealed_segment(dir.path());
+    {
+        let mut t = open_small(dir.path());
+        assert_eq!(t.len(), survivors, "replay stops at the planted record");
+        assert_prefix(&t, 40);
+        assert_eq!(last_seq(dir.path()), cut_seq, "later segments removed");
+        let id = t.insert(row(999)).unwrap();
+        assert_eq!(id, survivors as u64);
+        t.sync().unwrap();
+    }
+    let t = open_small(dir.path());
+    assert_eq!(t.len(), survivors + 1, "the append after reopen survives");
+    assert_eq!(t.get(survivors as u64), Some(&row(999)));
+}
+
+#[test]
+fn undecodable_record_in_a_sealed_segment_ends_the_row_less_log_there() {
+    let dir = tempdir().unwrap();
+    let (cut_seq, survivors) = plant_undecodable_in_sealed_segment(dir.path());
+    let open = |seen: &mut Vec<u64>| {
+        Log::<Row>::open_with(
+            dir.path(),
+            "rows",
+            SegmentConfig::with_segment_bytes(256),
+            |change| {
+                if let Change::Put(id, _) = change {
+                    seen.push(id);
+                }
+            },
+        )
+        .unwrap()
+    };
+    let mut seen = Vec::new();
+    {
+        let mut log = open(&mut seen);
+        let prefix: Vec<u64> = (0..survivors as u64).collect();
+        assert_eq!(seen, prefix, "replay stops at the planted record");
+        assert_eq!(log.len(), survivors);
+        assert_eq!(last_seq(dir.path()), cut_seq, "later segments removed");
+        assert_eq!(log.insert(&row(999)).unwrap(), survivors as u64);
+        log.sync().unwrap();
+    }
+    seen.clear();
+    let log = open(&mut seen);
+    assert_eq!(log.len(), survivors + 1, "the append after reopen survives");
+    assert_eq!(seen.last(), Some(&(survivors as u64)));
 }

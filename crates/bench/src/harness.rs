@@ -111,27 +111,6 @@ pub fn ep_run(
     planner.plan(builder.iter())
 }
 
-/// One method run plus the telemetry recorded while it ran.
-pub struct MethodRun {
-    /// The paper's three metrics.
-    pub metrics: RunMetrics,
-    /// JSON snapshot of the global telemetry registry covering exactly
-    /// this method's run (the registry is reset beforehand).
-    pub telemetry: serde_json::Value,
-}
-
-/// Runs one method and captures its telemetry snapshot. The global
-/// registry is reset first so the snapshot is per-method, not cumulative
-/// across a comparison sweep.
-pub fn run_method_with_telemetry(bundle: &DatasetBundle, method: Method) -> MethodRun {
-    imcf_telemetry::global().reset();
-    let metrics = run_method_inner(bundle, method);
-    MethodRun {
-        metrics,
-        telemetry: imcf_telemetry::global().json_snapshot(),
-    }
-}
-
 /// Runs one method over a bundle. The slot stream always carries the EAF
 /// budget shaping so every method sees identical slots; the baselines
 /// simply ignore the budget. Resets the telemetry registry first so

@@ -147,7 +147,7 @@ fn extract_telemetry_flag(argv: &mut Vec<String>) -> Result<Option<String>, Stri
     Ok(Some(path))
 }
 
-/// Writes the global registry's JSON snapshot (metrics + trace events).
+/// Writes the global registry's JSON snapshot (`{"metrics": [...]}`).
 fn dump_telemetry(path: &str) -> std::io::Result<()> {
     std::fs::write(path, imcf_telemetry::global().json_snapshot_string())
 }

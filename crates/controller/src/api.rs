@@ -754,6 +754,26 @@ mod tests {
         assert_eq!(r.status, 405);
     }
 
+    /// A `%` before a non-ASCII character is no escape: decoding must not
+    /// slice inside the `é`, since a panic would unwind out of the serving
+    /// worker.
+    #[test]
+    fn query_with_a_broken_escape_is_an_unknown_series() {
+        use imcf_obs::{default_rules, ObsConfig, ObsEngine};
+
+        let (_c, router) = router_with_zone();
+        let engine = ObsEngine::in_memory(ObsConfig::default(), default_rules())
+            .expect("stock rules validate");
+        let router = router.with_obs(Arc::new(Mutex::new(engine)));
+        let r = router.handle("GET /rest/query?series=%a\u{e9}");
+        assert_eq!(r.status, 404, "body: {}", r.body);
+        assert!(
+            r.body.contains("unknown series: %a\u{e9}"),
+            "body: {}",
+            r.body
+        );
+    }
+
     /// The counter's exact delta per request is checked in
     /// `tests/api_requests_label.rs`, a process of its own: the router
     /// tests here bump the same global counter in parallel.

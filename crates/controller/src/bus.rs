@@ -75,31 +75,11 @@ impl Event {
     }
 }
 
-/// An [`Event`] paired with the trace context that was current at the
-/// publish site, for subscribers that continue the causal chain on
-/// another thread. The event itself is unchanged — trace carriage is an
-/// envelope, not a payload field, so event equality and serialization
-/// stay exactly as before.
-#[derive(Debug, Clone)]
-pub struct TracedEvent {
-    /// The published event.
-    pub event: Event,
-    /// The publisher's trace context, when a trace was active.
-    pub context: Option<trace::TraceContext>,
-}
-
-/// One delivery target: a channel receiver (bare or context-carrying) or
-/// an in-process callback.
-enum Subscriber {
-    Channel(Sender<Event>),
-    ContextChannel(Sender<TracedEvent>),
-    Callback(Box<dyn Fn(&Event) + Send>),
-}
-
-/// A broadcast event bus.
+/// A broadcast event bus. Events carry no trace context: a publish
+/// records a `bus.publish` span in the publisher's trace, if one is active.
 #[derive(Clone, Default)]
 pub struct EventBus {
-    subscribers: Arc<Mutex<Vec<Subscriber>>>,
+    subscribers: Arc<Mutex<Vec<Sender<Event>>>>,
 }
 
 impl EventBus {
@@ -112,45 +92,15 @@ impl EventBus {
     pub fn subscribe(&self) -> Receiver<Event> {
         let (tx, rx) = unbounded();
         let mut subs = self.subscribers.lock();
-        subs.push(Subscriber::Channel(tx));
+        subs.push(tx);
         imcf_telemetry::global()
             .gauge("bus.subscribers")
             .set(subs.len() as f64);
         rx
-    }
-
-    /// Subscribes; returns a receiver of all future events, each paired
-    /// with the publisher's [`trace::TraceContext`] so the consumer can
-    /// continue the causal chain (e.g. via `trace::begin_linked`).
-    pub fn subscribe_with_context(&self) -> Receiver<TracedEvent> {
-        let (tx, rx) = unbounded();
-        let mut subs = self.subscribers.lock();
-        subs.push(Subscriber::ContextChannel(tx));
-        imcf_telemetry::global()
-            .gauge("bus.subscribers")
-            .set(subs.len() as f64);
-        rx
-    }
-
-    /// Subscribes a callback invoked inline on every future publish.
-    ///
-    /// A panicking callback is isolated: the panic is caught, counted
-    /// under `bus.subscriber_panics`, the callback is unsubscribed, and
-    /// delivery to the remaining subscribers continues. Callbacks run
-    /// under the bus lock — keep them short and never publish from one.
-    pub fn subscribe_fn<F>(&self, callback: F)
-    where
-        F: Fn(&Event) + Send + 'static,
-    {
-        let mut subs = self.subscribers.lock();
-        subs.push(Subscriber::Callback(Box::new(callback)));
-        imcf_telemetry::global()
-            .gauge("bus.subscribers")
-            .set(subs.len() as f64);
     }
 
     /// Publishes an event to every live subscriber, pruning closed
-    /// channels and panicked callbacks.
+    /// channels.
     ///
     /// Telemetry is deliberately touched **after** the subscriber lock is
     /// released: the lag scan and gauge updates used to run under the
@@ -159,56 +109,21 @@ impl EventBus {
     /// of per-subscriber backlog and the live count need the lock.
     pub fn publish(&self, event: Event) {
         let kind = event.kind();
-        // One context capture per publish: every context-carrying
-        // subscriber sees the same origin. Callbacks run inline on this
-        // thread, so spans they open nest under the publisher's trace
-        // without explicit propagation.
-        let context = trace::current_context();
         let publish_span = trace::span("bus.publish");
         publish_span.attr("event", kind);
-        let mut panics: u64 = 0;
         let (lag, live) = {
             let mut subs = self.subscribers.lock();
-            subs.retain(|sub| match sub {
-                Subscriber::Channel(tx) => tx.send(event.clone()).is_ok(),
-                Subscriber::ContextChannel(tx) => tx
-                    .send(TracedEvent {
-                        event: event.clone(),
-                        context,
-                    })
-                    .is_ok(),
-                Subscriber::Callback(cb) => {
-                    // A subscriber that panics must not poison the bus or
-                    // starve the subscribers after it in the list.
-                    let outcome =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cb(&event)));
-                    if outcome.is_err() {
-                        panics += 1;
-                    }
-                    outcome.is_ok()
-                }
-            });
+            subs.retain(|tx| tx.send(event.clone()).is_ok());
             // Worst undelivered backlog across subscribers: a growing
             // value means some consumer is falling behind the publish
             // rate. Snapshot it here; report it after the lock drops.
-            let lag = subs
-                .iter()
-                .filter_map(|sub| match sub {
-                    Subscriber::Channel(tx) => Some(tx.len()),
-                    Subscriber::ContextChannel(tx) => Some(tx.len()),
-                    Subscriber::Callback(_) => None,
-                })
-                .max()
-                .unwrap_or(0);
+            let lag = subs.iter().map(Sender::len).max().unwrap_or(0);
             (lag, subs.len())
         };
         let telemetry = imcf_telemetry::global();
         telemetry
             .counter_with("bus.published", &[("event", kind)])
             .inc();
-        if panics > 0 {
-            telemetry.counter("bus.subscriber_panics").add(panics);
-        }
         telemetry.gauge("bus.subscriber_lag").set(lag as f64);
         telemetry.gauge("bus.subscribers").set(live as f64);
     }
@@ -309,53 +224,12 @@ mod tests {
         assert!(gauges_observed, "gauges never reflected the publish");
     }
 
-    /// A panicking subscriber must not poison the bus nor steal delivery
-    /// from subscribers registered before *or* after it.
-    #[test]
-    fn panicking_callback_is_isolated_and_unsubscribed() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        let bus = EventBus::new();
-        let before = bus.subscribe();
-        bus.subscribe_fn(|_| panic!("subscriber bug"));
-        let seen = Arc::new(AtomicU64::new(0));
-        let seen_in_cb = Arc::clone(&seen);
-        bus.subscribe_fn(move |_| {
-            seen_in_cb.fetch_add(1, Ordering::SeqCst);
-        });
-        let after = bus.subscribe();
-        assert_eq!(bus.subscriber_count(), 4);
-
-        // Silence the expected panic's backtrace while it unwinds.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        bus.publish(Event::TickCompleted { hour_index: 1 });
-        std::panic::set_hook(hook);
-
-        // The panicker is gone; everyone else got the event.
-        assert_eq!(bus.subscriber_count(), 3);
-        assert_eq!(before.try_iter().count(), 1);
-        assert_eq!(after.try_iter().count(), 1);
-        assert_eq!(seen.load(Ordering::SeqCst), 1);
-
-        // The bus is not poisoned: publishing keeps working.
-        bus.publish(Event::TickCompleted { hour_index: 2 });
-        assert_eq!(seen.load(Ordering::SeqCst), 2);
-        assert_eq!(bus.subscriber_count(), 3);
-    }
-
-    /// Satellite: trace context survives the publish → subscriber hop.
-    /// Inline callbacks nest spans straight into the publisher's trace;
-    /// context channels carry the `TraceContext` for cross-thread
-    /// continuation via `begin_linked`.
+    /// A publish under an active trace records a `bus.publish` span,
+    /// tagged with the event kind, nested in the publisher's trace.
     #[test]
     fn trace_context_propagates_across_a_publish_hop() {
         let bus = EventBus::new();
-        let ctx_rx = bus.subscribe_with_context();
-        bus.subscribe_fn(|event| {
-            let span = trace::span("subscriber.handle");
-            span.attr("event", event.kind());
-        });
+        let rx = bus.subscribe();
 
         let recorder = trace::recorder();
         let was_enabled = recorder.is_enabled();
@@ -363,50 +237,25 @@ mod tests {
         let id = trace::TraceId::derive(0xB05, 4, 0);
         {
             let _guard = trace::begin(id, || "bus-hop".to_string());
-            let publisher_ctx = trace::current_context().expect("trace is active");
             bus.publish(Event::TickCompleted { hour_index: 4 });
-
-            let traced = ctx_rx.try_recv().expect("context channel delivered");
-            assert_eq!(traced.event, Event::TickCompleted { hour_index: 4 });
-            let carried = traced.context.expect("publish captured the context");
-            assert_eq!(carried.trace_id, publisher_ctx.trace_id);
-
-            // Continue the chain on another thread, as a consumer would.
-            let handle = std::thread::spawn(move || {
-                let _linked =
-                    trace::begin_linked(trace::TraceId::derive(0xB05, 4, 1), carried, || {
-                        "bus-hop-continuation".to_string()
-                    });
-                trace::point("continuation", &[]);
-            });
-            handle.join().unwrap();
         }
         recorder.set_enabled(was_enabled);
+        assert_eq!(
+            rx.try_recv().unwrap(),
+            Event::TickCompleted { hour_index: 4 }
+        );
 
-        // The publisher's tree holds the publish span and, nested inside
-        // it, the inline subscriber's span.
         let tree = recorder.trace(id).expect("trace retained");
         let publish = tree
             .spans
             .iter()
             .find(|s| s.name == "bus.publish")
             .expect("publish span recorded");
-        let handled = tree
-            .spans
-            .iter()
-            .find(|s| s.name == "subscriber.handle")
-            .expect("inline subscriber span recorded");
-        assert_eq!(handled.parent, Some(publish.id));
-        assert!(handled
+        assert_eq!(publish.parent, Some(tree.spans[0].id));
+        assert!(publish
             .attrs
             .iter()
             .any(|(k, v)| k == "event" && v == "tick_completed"));
-
-        // The continuation tree links back to the publisher's trace.
-        let cont = recorder
-            .trace(trace::TraceId::derive(0xB05, 4, 1))
-            .expect("continuation retained");
-        assert_eq!(cont.link.map(|(t, _)| t), Some(id.0));
     }
 
     #[test]

@@ -49,13 +49,13 @@ use imcf_devices::thing::{Thing, ThingKind, ThingUid};
 use imcf_rules::action::DeviceClass;
 use imcf_rules::meta_rule::RuleId;
 use imcf_sim::meter::EnergyMeter;
-use imcf_telemetry::trace;
+use imcf_telemetry::{trace, Histogram, Stopwatch};
 use parking_lot::Mutex;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Controller configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -533,12 +533,14 @@ impl LocalController {
     /// write. The summary's `failed`/`retried`/`quarantined` counters
     /// aggregate the same information.
     pub fn tick_with_errors(&mut self, slot: &PlanningSlot) -> (TickSummary, Vec<ControllerError>) {
-        let _tick_span = imcf_telemetry::span!("scheduler.tick_micros");
+        // A registry lookup allocates its key, so the handle is fetched once.
+        static TICK_MICROS: OnceLock<Histogram> = OnceLock::new();
+        let watch = Stopwatch::start();
         let hour = slot.hour_index;
         // Arm a per-tick trace when the flight recorder is enabled. The id
         // is derived, not drawn: the same (seed, hour) names the same
         // trace in every run.
-        let _trace = trace::begin(trace::TraceId::derive(self.trace_seed, hour, 0), || {
+        let tick_trace = trace::begin(trace::TraceId::derive(self.trace_seed, hour, 0), || {
             format!("tick/{hour}")
         });
         self.chaos_tick.store(hour, Ordering::SeqCst);
@@ -844,6 +846,11 @@ impl LocalController {
                 errors.push(e);
             }
         }
+        // The tick's time includes handing its trace to the recorder.
+        drop(tick_trace);
+        TICK_MICROS
+            .get_or_init(|| imcf_telemetry::global().histogram("scheduler.tick_micros"))
+            .observe(watch.elapsed_micros() as f64);
         (summary, errors)
     }
 }

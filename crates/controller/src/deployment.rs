@@ -21,6 +21,7 @@ use imcf_core::calendar::PaperCalendar;
 use imcf_core::candidate::{CandidateRule, PlanningSlot};
 use imcf_core::objective::convenience_error_fraction;
 use imcf_devices::energy::{DeviceEnergyModel, HvacModel, LightModel};
+use imcf_obs::alert::Transition;
 use imcf_rules::action::DeviceClass;
 use imcf_rules::meta_rule::RuleId;
 use imcf_sim::illuminance::RoomLight;
@@ -137,6 +138,9 @@ struct ObsSampler {
     retries: Counter,
     gave_up: Counter,
     breaker_opens_seen: u64,
+    /// Every firing and resolved alert edge so far, rendered
+    /// `alert.<to>(<rule>)`.
+    alert_events: Vec<String>,
 }
 
 /// A controller and the attachments its run opts into.
@@ -217,6 +221,7 @@ impl Deployment {
                 gave_up: mirror.counter("actuation.gave_up"),
                 mirror,
                 breaker_opens_seen: 0,
+                alert_events: Vec::new(),
             });
         self
     }
@@ -302,6 +307,12 @@ impl Deployment {
                 obs.retries.add(summary.retried);
                 obs.gave_up.add(summary.failed);
                 obs.engine.observe(h, &obs.mirror);
+                obs.alert_events.extend(
+                    obs.engine
+                        .edges()
+                        .filter(|(_, edge)| *edge != Transition::ToPending)
+                        .map(|(rule, edge)| format!("alert.{}({rule})", edge.label())),
+                );
             }
             if let Some((plan, rx)) = &self.chaos {
                 if plan.bus_stalled(h) {
@@ -328,21 +339,7 @@ impl Deployment {
             let stats = obs.engine.stats();
             out.alerts_fired = stats.alerts_fired;
             out.alert_transitions = stats.alert_transitions;
-            out.alert_events = obs
-                .mirror
-                .events()
-                .into_iter()
-                .filter(|e| e.name.starts_with("alert."))
-                .map(|e| {
-                    let rule = e
-                        .labels
-                        .iter()
-                        .find(|(k, _)| k == "alert")
-                        .map(|(_, v)| v.as_str())
-                        .unwrap_or("?");
-                    format!("{}({rule})", e.name)
-                })
-                .collect();
+            out.alert_events = obs.alert_events.clone();
         }
         out.faults_injected = self.controller.registry().failed_count();
         for snap in self.controller.breaker_snapshots() {

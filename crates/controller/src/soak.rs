@@ -101,8 +101,8 @@ pub struct SoakOutcome {
     pub alerts_fired: u64,
     /// Total alert state-machine transitions over the run.
     pub alert_transitions: u64,
-    /// Alert trace events recorded by the obs plane, rendered
-    /// `name(alert=rule)` in order — e.g. `alert.firing(breaker.open.storm)`.
+    /// Every firing and resolved alert edge the obs plane took, in order,
+    /// rendered `alert.<to>(<rule>)` — e.g. `alert.firing(breaker.open.storm)`.
     pub alert_events: Vec<String>,
     /// Ticks during which the chaos subscriber stalled (did not drain).
     pub stalled_ticks: u64,

@@ -41,7 +41,12 @@ fn metrics_endpoint_reports_scenario_counters() {
         "Prometheus scrapers negotiate text exposition 0.0.4"
     );
     assert!(!resp.body.is_empty());
-    for needle in ["firewall.verdicts", "planner.slot_micros", "api.requests"] {
+    for needle in [
+        "firewall.verdicts",
+        "planner.slot_micros",
+        "scheduler.tick_micros",
+        "api.requests",
+    ] {
         assert!(
             resp.body.contains(needle),
             "metrics output missing `{needle}`:\n{}",
@@ -65,12 +70,26 @@ fn metrics_endpoint_reports_scenario_counters() {
         .iter()
         .filter_map(|m| m.get("name").and_then(|n| n.as_str()))
         .collect();
-    for needle in ["firewall.verdicts", "planner.slot_micros", "api.requests"] {
+    for needle in [
+        "firewall.verdicts",
+        "planner.slot_micros",
+        "scheduler.tick_micros",
+        "api.requests",
+    ] {
         assert!(
             names.contains(&needle),
             "JSON snapshot missing `{needle}`: {names:?}"
         );
     }
+    // The scenario's one tick timed itself into its histogram once.
+    let tick = metrics
+        .iter()
+        .find(|m| m.get("name").and_then(|n| n.as_str()) == Some("scheduler.tick_micros"))
+        .expect("tick histogram");
+    assert!(
+        matches!(tick.get("count"), Some(serde_json::Value::Number(n)) if n.as_f64() as u64 == 1),
+        "tick histogram: {tick:?}"
+    );
 
     // Exposition-stability contract: every metric the driven scenario
     // actually emitted is registered in the central catalog

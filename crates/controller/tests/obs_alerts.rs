@@ -1,6 +1,6 @@
 //! Acceptance: a chaos soak at ≥10% command-fault rate fires at least
-//! one breaker alert through the imcf-obs plane; the alert's trace event
-//! is recorded and its flight-recorder dump lands on disk.
+//! one breaker alert through the imcf-obs plane; the alert's firing edge
+//! reaches the outcome and its flight-recorder dump lands on disk.
 
 use imcf_chaos::FaultPlan;
 use imcf_controller::soak::{run_soak, SoakConfig};
@@ -37,13 +37,13 @@ fn fault_storm_fires_breaker_alert_with_trace_event_and_dump() {
     );
     assert!(out.alert_transitions >= out.alerts_fired);
 
-    // The firing transition's trace event, recorded by the obs plane into
-    // the soak's mirror registry and surfaced in the outcome.
+    // The firing edge, taken by the obs plane over the soak's mirror
+    // registry and surfaced in the outcome.
     assert!(
         out.alert_events
             .iter()
             .any(|e| e == "alert.firing(breaker.open.storm)"),
-        "alert trace events: {:?}",
+        "alert edges: {:?}",
         out.alert_events
     );
 

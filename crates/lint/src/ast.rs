@@ -106,8 +106,8 @@ pub enum Expr {
         line: u32,
     },
     /// `path!(...)` / `path![...]` / `path! {...}`. The body is not
-    /// parsed; `first_str` captures the first string literal inside (the
-    /// shape `span!("name", ...)` takes).
+    /// parsed; `first_str` captures the first string literal inside (a
+    /// format string, for `println!("...", ...)`).
     Macro {
         segs: Vec<String>,
         first_str: Option<String>,

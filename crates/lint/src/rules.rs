@@ -5,7 +5,7 @@
 //! | IMCF-L001 | no `.unwrap()` / `.expect(...)` in non-test library code |
 //! | IMCF-L002 | no ambient nondeterminism (`Instant::now`, `SystemTime::now`, `thread_rng`, `from_entropy`) in `crates/sim`, `crates/traces`, `crates/core` |
 //! | IMCF-L003 | no float `==` / `!=` outside tests |
-//! | IMCF-L004 | every dotted metric name passed to `counter*`/`gauge*`/`histogram*`/`span!` must be in the `imcf-telemetry` catalog |
+//! | IMCF-L004 | every dotted metric name passed to `counter*`/`gauge*`/`histogram*` must be in the `imcf-telemetry` catalog |
 //! | IMCF-L005 | `unsafe` blocks need a `// SAFETY:` comment; `static mut` is forbidden |
 //! | IMCF-L006 | lock-acquisition order must be globally consistent; no re-entrant double-locks (see [`crate::locks`]) |
 //! | IMCF-L007 | no blocking calls (I/O, publish, sleep) while a lock guard is held |
@@ -187,43 +187,24 @@ pub fn lint_tokens(rel_path: &str, lexed: &Lexed, findings: &mut Vec<Finding>) {
             }
         }
 
-        // L004: metric names must be cataloged.
+        // L004: metric names must be cataloged. Method call: counter("a.b" ...
         if !in_test {
-            if let Tok::Ident(name) = &toks[i].tok {
-                let metric_name = if METRIC_METHODS.contains(&name.as_str()) {
-                    // method call: counter("a.b" ...
-                    match (
-                        toks.get(i + 1).map(|t| &t.tok),
-                        toks.get(i + 2).map(|t| &t.tok),
-                    ) {
-                        (Some(Tok::Punct("(")), Some(Tok::Str(s))) => Some(s.clone()),
-                        _ => None,
-                    }
-                } else if name == "span" {
-                    // macro call: span!("a.b" ...
-                    match (
-                        toks.get(i + 1).map(|t| &t.tok),
-                        toks.get(i + 2).map(|t| &t.tok),
-                        toks.get(i + 3).map(|t| &t.tok),
-                    ) {
-                        (Some(Tok::Punct("!")), Some(Tok::Punct("(")), Some(Tok::Str(s))) => {
-                            Some(s.clone())
-                        }
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                if let Some(metric) = metric_name {
-                    if metric.contains('.') && !imcf_telemetry::catalog::is_cataloged(&metric) {
-                        push(
-                            Rule::L004,
-                            format!(
-                                "metric `{metric}` is not in the imcf-telemetry catalog \
-                                 (crates/telemetry/src/catalog.rs)"
-                            ),
-                        );
-                    }
+            if let (Tok::Ident(name), Some(Tok::Punct("(")), Some(Tok::Str(metric))) = (
+                &toks[i].tok,
+                toks.get(i + 1).map(|t| &t.tok),
+                toks.get(i + 2).map(|t| &t.tok),
+            ) {
+                if METRIC_METHODS.contains(&name.as_str())
+                    && metric.contains('.')
+                    && !imcf_telemetry::catalog::is_cataloged(metric)
+                {
+                    push(
+                        Rule::L004,
+                        format!(
+                            "metric `{metric}` is not in the imcf-telemetry catalog \
+                             (crates/telemetry/src/catalog.rs)"
+                        ),
+                    );
                 }
             }
         }
@@ -452,10 +433,10 @@ mod tests {
             "fn f(r: &Registry) { r.counter(\"planner.slots_planned\").inc(); }",
         );
         assert!(f.is_empty(), "{f:?}");
-        // span! macro form.
+        // Histograms, the wall-clock timers' sink, are checked too.
         let f = findings_for(
             "crates/x/src/lib.rs",
-            "fn f() { let _s = imcf_telemetry::span!(\"zzz.rogue_span\"); }",
+            "fn f(r: &Registry) { r.histogram(\"zzz.rogue_micros\").observe(1.0); }",
         );
         assert_eq!(rules_of(&f), vec![Rule::L004]);
     }

@@ -14,7 +14,7 @@
 use crate::alert::{self, AlertError, AlertExpr, AlertRule, AlertState, Transition};
 use crate::series::{Point, SeriesKind, SeriesRing};
 use imcf_store::{Change, Log};
-use imcf_telemetry::{quantile_from_buckets, Counter, Gauge, MetricView, Registry, TraceEvent};
+use imcf_telemetry::{quantile_from_buckets, Counter, Gauge, MetricView, Registry};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -171,6 +171,8 @@ pub struct ObsEngine {
     self_handles: Option<SelfHandles>,
     /// Reused buffer of per-rule expression values (one slot per rule).
     eval_scratch: Vec<Option<f64>>,
+    /// The alert edges of the latest `observe`, as (rule index, edge).
+    edges: Vec<(usize, Transition)>,
 }
 
 /// Appends the `{k=v,...}` label suffix (nothing when unlabeled).
@@ -223,6 +225,7 @@ impl ObsEngine {
             storage: None,
             self_handles: None,
             eval_scratch: Vec::new(),
+            edges: Vec::new(),
         })
     }
 
@@ -316,6 +319,16 @@ impl ObsEngine {
         self.series.values().map(|r| r.evictions()).sum()
     }
 
+    /// The alert edges the latest [`ObsEngine::observe`] took, as
+    /// `(rule name, edge)` in rule order. Every `observe` call clears them
+    /// first, so the engine keeps no edge history; a caller that wants one
+    /// collects it.
+    pub fn edges(&self) -> impl Iterator<Item = (&str, Transition)> + '_ {
+        self.edges
+            .iter()
+            .map(|&(rule, edge)| (self.rules[rule].rule.name.as_str(), edge))
+    }
+
     /// The tick of the most recent sample.
     pub fn last_tick(&self) -> Option<u64> {
         self.last_sample_tick
@@ -329,6 +342,7 @@ impl ObsEngine {
     /// Samples the registry at `tick` if the sampling interval has
     /// elapsed. Returns `true` when a sample was taken.
     pub fn observe(&mut self, tick: u64, registry: &Registry) -> bool {
+        self.edges.clear();
         let due = match self.last_sample_tick {
             None => true,
             Some(last) => tick >= last.saturating_add(self.config.interval_ticks.max(1)),
@@ -458,12 +472,18 @@ impl ObsEngine {
         values.clear();
         values.extend(self.rules.iter().map(|rt| self.eval_expr(rt, tick)));
         let mut firing = 0u64;
-        for (rt, value) in self.rules.iter_mut().zip(values.iter().copied()) {
+        for (i, (rt, value)) in self
+            .rules
+            .iter_mut()
+            .zip(values.iter().copied())
+            .enumerate()
+        {
             rt.last_value = value;
             let breach = value.map(|v| rt.rule.cmp.holds(v, rt.rule.threshold)) == Some(true);
             let (next, edge) = alert::step(rt.state, breach, tick, rt.rule.for_ticks);
             rt.state = next;
             if let Some(edge) = edge {
+                self.edges.push((i, edge));
                 self.stats.alert_transitions += 1;
                 registry
                     .counter_with(
@@ -471,29 +491,12 @@ impl ObsEngine {
                         &[("alert", rt.rule.name.as_str()), ("to", edge.label())],
                     )
                     .inc();
-                match edge {
-                    Transition::ToFiring => {
-                        rt.fired_count += 1;
-                        self.stats.alerts_fired += 1;
-                        registry.record_event(TraceEvent::point(
-                            "alert.firing",
-                            &[
-                                ("alert", rt.rule.name.as_str()),
-                                ("severity", rt.rule.severity.label()),
-                            ],
-                        ));
-                        // Snapshot recent causal traces at the moment the
-                        // alert fires (no-op while the recorder is off).
-                        imcf_telemetry::trace::recorder()
-                            .trigger(&format!("alert:{}", rt.rule.name));
-                    }
-                    Transition::ToResolved => {
-                        registry.record_event(TraceEvent::point(
-                            "alert.resolved",
-                            &[("alert", rt.rule.name.as_str())],
-                        ));
-                    }
-                    Transition::ToPending => {}
+                if edge == Transition::ToFiring {
+                    rt.fired_count += 1;
+                    self.stats.alerts_fired += 1;
+                    // Snapshot recent causal traces at the moment the
+                    // alert fires (no-op while the recorder is off).
+                    imcf_telemetry::trace::recorder().trigger(&format!("alert:{}", rt.rule.name));
                 }
             }
             if matches!(rt.state, AlertState::Firing(_)) {

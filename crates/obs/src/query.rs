@@ -40,36 +40,24 @@ impl QueryFn {
 }
 
 /// Decodes `%XX` escapes and `+` (space) in a query-string component.
-/// Malformed escapes pass through literally rather than erroring — the
-/// series lookup will simply miss.
+/// An escape is taken only when both bytes after the `%` are ASCII hex
+/// digits; malformed escapes pass through literally rather than erroring —
+/// the series lookup will simply miss.
 pub fn percent_decode(input: &str) -> String {
     let bytes = input.as_bytes();
+    let hex = |at: usize| bytes.get(at).and_then(|&b| char::from(b).to_digit(16));
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        match bytes[i] {
-            b'+' => {
-                out.push(b' ');
-                i += 1;
+        match (bytes[i], hex(i + 1), hex(i + 2)) {
+            (b'+', ..) => out.push(b' '),
+            (b'%', Some(high), Some(low)) => {
+                out.push((high * 16 + low) as u8);
+                i += 2;
             }
-            b'%' if i + 2 < bytes.len() => {
-                let hex = &input[i + 1..i + 3];
-                match u8::from_str_radix(hex, 16) {
-                    Ok(byte) => {
-                        out.push(byte);
-                        i += 3;
-                    }
-                    Err(_) => {
-                        out.push(b'%');
-                        i += 1;
-                    }
-                }
-            }
-            b => {
-                out.push(b);
-                i += 1;
-            }
+            (b, ..) => out.push(b),
         }
+        i += 1;
     }
     String::from_utf8(out).unwrap_or_else(|_| input.to_string())
 }
@@ -229,6 +217,12 @@ mod tests {
         assert_eq!(percent_decode("a+b"), "a b");
         assert_eq!(percent_decode("100%"), "100%");
         assert_eq!(percent_decode("%zz"), "%zz");
+        // An escape needs two ASCII hex digits: no slicing inside a
+        // multi-byte character, and no sign accepted as a digit.
+        assert_eq!(percent_decode("%a\u{e9}"), "%a\u{e9}");
+        assert_eq!(percent_decode("%+1"), "% 1");
+        assert_eq!(percent_decode("%4"), "%4");
+        assert_eq!(percent_decode("%41%c3%A9"), "A\u{e9}");
     }
 
     #[test]

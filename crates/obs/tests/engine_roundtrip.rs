@@ -1,6 +1,7 @@
 //! End-to-end engine behaviour: sampling, range queries, alert
 //! transitions and crash-safe persistence.
 
+use imcf_obs::alert::Transition;
 use imcf_obs::{
     handle_query, AlertExpr, AlertRule, Cmp, ObsConfig, ObsEngine, QueryError, Severity,
 };
@@ -113,7 +114,7 @@ fn sampler_builds_series_and_queries_answer() {
 }
 
 #[test]
-fn alert_fires_records_trace_event_and_resolves() {
+fn alert_fires_reports_its_edges_and_resolves() {
     let registry = Registry::new();
     let mut engine = ObsEngine::in_memory(tiny_config(), vec![breaker_rule()]).expect("rules");
     let breaker = registry.counter("breaker.open");
@@ -130,10 +131,10 @@ fn alert_fires_records_trace_event_and_resolves() {
     assert_eq!(rows[0].since, Some(6));
     assert!(rows[0].value.unwrap_or(0.0) > 0.0);
 
-    // The firing transition left a trace event and the registry-side
-    // alert metrics in the sampled registry.
-    let events = registry.events();
-    assert!(events.iter().any(|e| e.name == "alert.firing"));
+    // The firing transition is the engine's latest edge, and left the
+    // registry-side alert metrics in the sampled registry.
+    let edges: Vec<(&str, Transition)> = engine.edges().collect();
+    assert_eq!(edges, [("breaker.open.storm", Transition::ToFiring)]);
     let text = registry.prometheus_text();
     assert!(text.contains("alerts_firing 1"));
     assert!(text.contains("alerts_transitions{alert=\"breaker.open.storm\",to=\"firing\"} 1"));
@@ -143,12 +144,15 @@ fn alert_fires_records_trace_event_and_resolves() {
     let v: Value = serde_json::from_str(&body).expect("valid JSON");
     assert_eq!(num(&v, "firing"), Some(1.0));
 
-    // Window slides past the burst -> resolved.
+    // Window slides past the burst -> resolved. Each observe clears the
+    // previous edges, so collect them as they come.
+    let mut later = Vec::new();
     for tick in 7..=40u64 {
         engine.observe(tick, &registry);
+        later.extend(engine.edges().map(|(rule, edge)| (rule.to_string(), edge)));
     }
     assert_eq!(engine.firing_count(), 0);
-    assert!(registry.events().iter().any(|e| e.name == "alert.resolved"));
+    assert!(later.contains(&("breaker.open.storm".to_string(), Transition::ToResolved)));
     assert!(registry.prometheus_text().contains("alerts_firing 0"));
 }
 

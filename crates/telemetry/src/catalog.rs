@@ -4,8 +4,8 @@
 //! The catalog is the contract behind `/rest/metrics`: dashboards and
 //! alerting key on these names, so a rename or an ad-hoc addition is an
 //! exposition-format break. `imcf-lint` rule IMCF-L004 enforces the
-//! contract statically — any `counter*`/`gauge*`/`histogram*`/`span!` call
-//! site whose dotted name literal is missing here fails the lint — and the
+//! contract statically — any `counter*`/`gauge*`/`histogram*` call site
+//! whose dotted name literal is missing here fails the lint — and the
 //! tests in this module plus the driven-scenario test in
 //! `crates/controller/tests/metrics_endpoint.rs` enforce it dynamically.
 //!
@@ -93,12 +93,6 @@ pub const METRICS: &[MetricDef] = &[
         kind: MetricKind::Gauge,
         labels: &[],
         help: "depth of the most backlogged bus subscriber queue",
-    },
-    MetricDef {
-        name: "bus.subscriber_panics",
-        kind: MetricKind::Counter,
-        labels: &[],
-        help: "callback subscribers unsubscribed after panicking",
     },
     MetricDef {
         name: "bus.subscribers",

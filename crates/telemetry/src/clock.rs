@@ -1,17 +1,17 @@
-//! Wall-clock measurement for code that needs a `Duration` back, not just
-//! a histogram sample.
+//! Wall-clock measurement: the crate's one timing primitive.
 //!
-//! [`Span`](crate::Span) covers the common case — time a scope, record the
-//! result as a metric. Some call sites additionally *return* the elapsed
-//! time to their caller (the Energy Planner reports per-run planning time
-//! `F_T` in its `PlanReport`, baselines time their whole run). Those sites
-//! use a [`Stopwatch`].
+//! A [`Stopwatch`] times a scope; the call site observes
+//! [`Stopwatch::elapsed_micros`] into a cataloged histogram (the
+//! controller's `scheduler.tick_micros`, the planner's
+//! `planner.slot_micros`), returns the `Duration` to its caller (the
+//! Energy Planner reports per-run planning time `F_T` in its
+//! `PlanReport`), or both.
 //!
 //! Centralizing ambient time here is deliberate: imcf-lint rule IMCF-L002
 //! forbids direct `Instant::now()` / `SystemTime::now()` in `crates/sim`,
 //! `crates/traces` and `crates/core`, so every wall-clock read in the
-//! deterministic core flows through this crate (spans or stopwatches) and
-//! is visible to the telemetry layer. Simulated time inside the planner
+//! deterministic core flows through this crate's stopwatches and is
+//! visible to the telemetry layer. Simulated time inside the planner
 //! stays injected; only measurement of the planner itself touches the real
 //! clock.
 

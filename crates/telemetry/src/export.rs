@@ -1,7 +1,6 @@
-//! Exporters: Prometheus text exposition and JSON (snapshot + lines).
+//! Exporters: Prometheus text exposition and a JSON snapshot.
 
 use crate::registry::{locked, Metric, MetricKey, Registry};
-use crate::ring::TraceEvent;
 use serde::Serialize;
 use serde_json::Value;
 
@@ -165,14 +164,13 @@ impl Registry {
         out
     }
 
-    /// A full JSON snapshot: `{"metrics": [...], "events": [...]}`.
+    /// A full JSON snapshot: `{"metrics": [...]}`.
     pub fn json_snapshot(&self) -> Value {
         let metrics = self.metric_snapshots();
-        let events: Vec<TraceEvent> = self.events();
-        Value::Object(vec![
-            ("metrics".to_string(), serde_json::to_value(&metrics)),
-            ("events".to_string(), serde_json::to_value(&events)),
-        ])
+        Value::Object(vec![(
+            "metrics".to_string(),
+            serde_json::to_value(&metrics),
+        )])
     }
 
     /// [`Registry::json_snapshot`] rendered as a JSON string, for callers
@@ -182,26 +180,6 @@ impl Registry {
         // Snapshot values are finite by construction; if serialization
         // still fails, an empty object beats panicking inside an exporter.
         serde_json::to_string(&self.json_snapshot()).unwrap_or_else(|_| String::from("{}"))
-    }
-
-    /// JSON lines: one metric object per line, then one event object per
-    /// line (events carry a `"event"` name field, metrics a `"kind"`).
-    /// Entries that fail to serialize are skipped.
-    pub fn json_lines(&self) -> String {
-        let mut out = String::new();
-        for snap in self.metric_snapshots() {
-            if let Ok(line) = serde_json::to_string(&snap) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        for event in self.events() {
-            if let Ok(line) = serde_json::to_string(&event) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        out
     }
 }
 
@@ -255,25 +233,13 @@ mod tests {
     fn json_snapshot_shape() {
         let r = Registry::new();
         r.counter("c").inc();
-        r.record_event(TraceEvent::point("boot", &[("zone", "den")]));
         let snap = r.json_snapshot();
         let metrics = snap.get("metrics").and_then(|v| v.as_array()).unwrap();
         assert_eq!(metrics.len(), 1);
         assert_eq!(metrics[0].get("name").and_then(|v| v.as_str()), Some("c"));
-        let events = snap.get("events").and_then(|v| v.as_array()).unwrap();
-        assert_eq!(events.len(), 1);
-    }
-
-    #[test]
-    fn json_lines_parse_individually() {
-        let r = Registry::new();
-        r.counter("a").inc();
-        r.histogram("b").observe(2.0);
-        r.record_event(TraceEvent::span("s", &[], 12));
-        for line in r.json_lines().lines() {
-            let v: Value = serde_json::from_str(line).expect("each line is valid JSON");
-            assert!(v.get("name").is_some());
-        }
-        assert_eq!(r.json_lines().lines().count(), 3);
+        assert!(
+            snap.get("events").is_none(),
+            "the snapshot carries metrics only"
+        );
     }
 }

@@ -1,7 +1,16 @@
-//! Observability for the IMCF stack: a lock-free metrics registry, span
-//! timing, a bounded trace ring buffer and two exporters.
+//! Observability for the IMCF stack: a lock-free metrics registry with two
+//! exporters, wall-clock stopwatches and deterministic causal tracing.
 //!
 //! # Design
+//!
+//! Two primitives record what the running system does, and they do not
+//! overlap:
+//!
+//! * **Wall time.** A [`Stopwatch`] observed into a cataloged
+//!   [`Histogram`] answers "how long did it take?".
+//! * **Causality.** [`trace::begin`], [`trace::span`] and [`trace::point`],
+//!   retained by the [`trace::FlightRecorder`], answer "why did it
+//!   happen?" on a virtual clock.
 //!
 //! Metric **handles** ([`Counter`], [`Gauge`], [`Histogram`]) are cheap
 //! `Arc`s over atomics: updating one is a handful of atomic instructions
@@ -18,14 +27,15 @@
 //! # Example
 //!
 //! ```
-//! use imcf_telemetry::{global, span};
+//! use imcf_telemetry::{global, Stopwatch};
 //!
 //! let verdicts = global().counter_with("firewall.verdicts", &[("verdict", "accept")]);
 //! verdicts.inc();
-//! {
-//!     let _timer = span!("ep.plan_slot");
-//!     // ... timed work; the histogram records on drop ...
-//! }
+//! let watch = Stopwatch::start();
+//! // ... timed work ...
+//! global()
+//!     .histogram("scheduler.tick_micros")
+//!     .observe(watch.elapsed_micros() as f64);
 //! assert!(global().prometheus_text().contains("firewall_verdicts"));
 //! ```
 
@@ -33,8 +43,6 @@ pub mod catalog;
 mod clock;
 mod export;
 mod registry;
-mod ring;
-mod span;
 pub mod trace;
 
 pub use clock::Stopwatch;
@@ -43,24 +51,3 @@ pub use registry::{
     global, quantile_from_buckets, Counter, Gauge, Histogram, HistogramSummary, MetricView,
     Registry, DEFAULT_BUCKETS,
 };
-pub use ring::TraceEvent;
-pub use span::{start_span, start_span_with, Span};
-
-/// Starts a [`Span`] timing guard against the global registry. The first
-/// form records into a histogram named after the span; the second adds
-/// label pairs:
-///
-/// ```
-/// # use imcf_telemetry::span;
-/// let _t = span!("scheduler.tick_micros");
-/// let _u = span!("planner.slot_micros", "optimizer" => "greedy");
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::start_span($name)
-    };
-    ($name:expr, $($key:expr => $value:expr),+ $(,)?) => {
-        $crate::start_span_with($name, &[$(($key, $value)),+])
-    };
-}

@@ -1,12 +1,11 @@
 //! The metrics registry and the three metric handle types.
 
-use crate::ring::{EventRing, TraceEvent, DEFAULT_EVENT_CAPACITY};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Locks a registry mutex, recovering from poison: the guarded state
-/// (metric maps, event rings) stays structurally valid even if a panic
+/// (metric maps, trace rings) stays structurally valid even if a panic
 /// unwound mid-update, and observability must keep working after an
 /// unrelated thread died.
 pub(crate) fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -282,34 +281,19 @@ pub(crate) enum Metric {
     Histogram(Histogram),
 }
 
-/// A set of named metrics plus a trace-event ring buffer.
+/// A set of named metrics.
 ///
 /// Most code uses the process-wide [`global`] registry; tests construct
 /// their own with [`Registry::new`] for isolation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Registry {
     pub(crate) metrics: Mutex<BTreeMap<MetricKey, Metric>>,
-    pub(crate) events: Mutex<EventRing>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Registry {
-    /// An empty registry with the default event capacity.
+    /// An empty registry.
     pub fn new() -> Self {
-        Self::with_event_capacity(DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// An empty registry keeping at most `capacity` trace events.
-    pub fn with_event_capacity(capacity: usize) -> Self {
-        Registry {
-            metrics: Mutex::new(BTreeMap::new()),
-            events: Mutex::new(EventRing::new(capacity)),
-        }
+        Self::default()
     }
 
     /// Registers (or finds) an unlabelled counter.
@@ -400,18 +384,8 @@ impl Registry {
         }
     }
 
-    /// Appends a structured trace event, dropping the oldest at capacity.
-    pub fn record_event(&self, event: TraceEvent) {
-        locked(&self.events).push(event);
-    }
-
-    /// A snapshot of the buffered trace events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        locked(&self.events).snapshot()
-    }
-
-    /// Zeroes every metric and clears the event buffer, keeping metric
-    /// identities — handles cached by callers remain valid.
+    /// Zeroes every metric, keeping metric identities — handles cached by
+    /// callers remain valid.
     pub fn reset(&self) {
         let map = locked(&self.metrics);
         for metric in map.values() {
@@ -427,8 +401,6 @@ impl Registry {
                 }
             }
         }
-        drop(map);
-        locked(&self.events).clear();
     }
 }
 

@@ -26,9 +26,9 @@
 //!
 //! Tracing is armed per thread by [`begin`], which itself no-ops unless
 //! the recorder is enabled. With no active trace on the current thread,
-//! [`span`]/[`point`]/[`current_context`] are one thread-local read and
-//! one branch — call sites that build attribute strings should still gate
-//! on [`active`] to avoid the allocations.
+//! [`span`]/[`point`] are one thread-local read and one branch — call
+//! sites that build attribute strings should still gate on [`active`] to
+//! avoid the allocations.
 
 use crate::registry::locked;
 use crate::Counter;
@@ -75,20 +75,6 @@ impl TraceId {
     }
 }
 
-/// Identity of one span within a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanId(pub u64);
-
-/// The context carried across component hops (bus publish → subscriber):
-/// enough to link a continuation back to its cause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceContext {
-    /// The trace the event was published under.
-    pub trace_id: TraceId,
-    /// The span that was current at the publish site.
-    pub span_id: SpanId,
-}
-
 /// One completed (or snapshotted) span.
 #[derive(Debug, Clone, Serialize)]
 pub struct SpanRecord {
@@ -129,9 +115,6 @@ pub struct TraceTree {
     pub label: String,
     /// False for mid-flight snapshots taken by an anomaly trigger.
     pub complete: bool,
-    /// `(trace_id, span_id)` of the causal parent when this trace was
-    /// begun via [`begin_linked`] from a carried [`TraceContext`].
-    pub link: Option<(u64, u64)>,
     /// All spans, in open order (root first).
     pub spans: Vec<SpanRecord>,
     /// All point events, in fire order.
@@ -211,40 +194,11 @@ pub fn active() -> bool {
     ACTIVE.with(|slot| slot.borrow().is_some())
 }
 
-/// The `(trace, span)` context at the current position, for carrying
-/// across a component hop (e.g. attached to a bus event).
-pub fn current_context() -> Option<TraceContext> {
-    ACTIVE.with(|slot| {
-        slot.borrow().as_ref().map(|t| {
-            let span_id = t.stack.last().map(|&i| t.tree.spans[i].id).unwrap_or(0);
-            TraceContext {
-                trace_id: TraceId(t.tree.trace_id),
-                span_id: SpanId(span_id),
-            }
-        })
-    })
-}
-
 /// Arms tracing on the current thread for the scope of the returned
 /// guard. Returns an inert guard (and records nothing) when the recorder
 /// is disabled or a trace is already active on this thread. The label
 /// closure only runs when a trace actually starts.
 pub fn begin(id: TraceId, label: impl FnOnce() -> String) -> TraceGuard {
-    begin_inner(id, None, label)
-}
-
-/// Like [`begin`], but records the carried [`TraceContext`] as the
-/// causal parent of the new trace — the continuation side of a cross-hop
-/// propagation (channel subscriber, queued work).
-pub fn begin_linked(id: TraceId, link: TraceContext, label: impl FnOnce() -> String) -> TraceGuard {
-    begin_inner(id, Some((link.trace_id.0, link.span_id.0)), label)
-}
-
-fn begin_inner(
-    id: TraceId,
-    link: Option<(u64, u64)>,
-    label: impl FnOnce() -> String,
-) -> TraceGuard {
     if !recorder().is_enabled() {
         return TraceGuard { active: false };
     }
@@ -259,7 +213,6 @@ fn begin_inner(
                 trace_id: id.0,
                 label: label.clone(),
                 complete: false,
-                link,
                 spans: Vec::new(),
                 points: Vec::new(),
             },
@@ -584,10 +537,6 @@ fn chrome_events(tree: &TraceTree, tid: u64, out: &mut Vec<serde_json::Value>) {
         let mut attrs = span.attrs.clone();
         if span.parent.is_none() {
             attrs.push(("label".to_string(), tree.label.clone()));
-            if let Some((lt, ls)) = tree.link {
-                attrs.push(("link_trace".to_string(), hex16(lt)));
-                attrs.push(("link_span".to_string(), hex16(ls)));
-            }
         }
         let value = serde_json::Value::Object(vec![
             ("name".to_string(), serde_json::to_value(&span.name)),
@@ -722,7 +671,7 @@ mod tests {
         s.attr("k", "v");
         point("ignored", &[]);
         drop(s);
-        assert_eq!(current_context(), None);
+        assert!(!active());
     }
 
     #[test]
@@ -735,24 +684,6 @@ mod tests {
         let inner = begin(TraceId::derive(2, 2, 3), || "unit/inner".to_string());
         drop(inner);
         assert!(active(), "nested begin must leave the outer trace active");
-    }
-
-    #[test]
-    fn context_links_across_a_hop() {
-        enable();
-        let src = TraceId::derive(4, 1, 0);
-        let ctx = {
-            let _t = begin(src, || "unit/src".to_string());
-            let _s = span("publish");
-            current_context().unwrap()
-        };
-        assert_eq!(ctx.trace_id, src);
-        let dst = TraceId::derive(4, 1, 1);
-        {
-            let _t = begin_linked(dst, ctx, || "unit/dst".to_string());
-        }
-        let tree = recorder().trace(dst).unwrap();
-        assert_eq!(tree.link, Some((src.0, ctx.span_id.0)));
     }
 
     #[test]
@@ -843,7 +774,6 @@ mod tests {
                 trace_id: i,
                 label: format!("unit/ring/{i}"),
                 complete: true,
-                link: None,
                 spans: Vec::new(),
                 points: Vec::new(),
             });

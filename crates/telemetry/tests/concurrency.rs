@@ -1,6 +1,6 @@
 //! Concurrency and exposition-format tests over the public API.
 
-use imcf_telemetry::{Registry, TraceEvent};
+use imcf_telemetry::Registry;
 use std::thread;
 
 const THREADS: u64 = 8;
@@ -115,17 +115,4 @@ fn prometheus_output_parses_line_by_line() {
             "`{name}` is outside the Prometheus charset"
         );
     }
-}
-
-#[test]
-fn ring_buffer_drops_oldest_events_at_capacity() {
-    let registry = Registry::with_event_capacity(3);
-    for i in 0..5 {
-        registry.record_event(TraceEvent::point(&format!("e{i}"), &[]));
-    }
-    let events = registry.events();
-    let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
-    assert_eq!(names, ["e2", "e3", "e4"]);
-    // Sequence numbers keep counting across evictions.
-    assert_eq!(events.last().unwrap().seq, 4);
 }

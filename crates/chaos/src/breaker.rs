@@ -9,8 +9,10 @@
 //! All clocks are scheduler ticks — there is no wall-clock state, so the
 //! machine is deterministic and serializable mid-flight.
 
+use imcf_telemetry::{Counter, Gauge};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Breaker tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -125,7 +127,10 @@ impl CircuitBreaker {
         self.consecutive_failures = 0;
         self.reopen_at = tick + self.config.cooldown_ticks.max(1);
         self.times_opened += 1;
-        imcf_telemetry::global().counter("breaker.open").inc();
+        static OPENS: OnceLock<Counter> = OnceLock::new();
+        OPENS
+            .get_or_init(|| imcf_telemetry::global().counter("breaker.open"))
+            .inc();
         if imcf_telemetry::trace::active() {
             imcf_telemetry::trace::point(
                 "breaker.open",
@@ -174,29 +179,46 @@ impl BreakerBank {
         }
     }
 
-    /// The breaker for `thing`, created closed on first sight.
-    pub fn breaker(&mut self, thing: &str) -> &mut CircuitBreaker {
-        self.breakers
-            .entry(thing.to_string())
-            .or_insert_with(|| CircuitBreaker::new(self.config))
+    /// Runs `f` on the breaker for `thing`, created closed on first sight.
+    /// The key is allocated only then: a known device costs one lookup.
+    fn with_breaker<T>(&mut self, thing: &str, f: impl FnOnce(&mut CircuitBreaker) -> T) -> T {
+        if let Some(breaker) = self.breakers.get_mut(thing) {
+            return f(breaker);
+        }
+        let mut breaker = CircuitBreaker::new(self.config);
+        let out = f(&mut breaker);
+        self.breakers.insert(thing.to_string(), breaker);
+        out
     }
 
     /// True when `thing` may receive a command at `tick`.
     pub fn allows(&mut self, thing: &str, tick: u64) -> bool {
-        self.breaker(thing).allows(tick)
+        self.with_breaker(thing, |b| b.allows(tick))
+    }
+
+    /// Records a successful actuation of `thing`.
+    pub fn record_success(&mut self, thing: &str) {
+        self.with_breaker(thing, CircuitBreaker::record_success);
+    }
+
+    /// Records a failed actuation of `thing` at `tick`; `true` when it
+    /// tripped the breaker open (see [`CircuitBreaker::record_failure`]).
+    pub fn record_failure(&mut self, thing: &str, tick: u64) -> bool {
+        self.with_breaker(thing, |b| b.record_failure(tick))
     }
 
     /// Number of breakers currently open at `tick` (also pushed to the
     /// `breaker.open_now` gauge).
     pub fn open_now(&mut self, tick: u64) -> usize {
+        static OPEN_NOW: OnceLock<Gauge> = OnceLock::new();
         let open = self
             .breakers
             .values_mut()
             .map(|b| b.state_at(tick))
             .filter(|s| *s == BreakerState::Open)
             .count();
-        imcf_telemetry::global()
-            .gauge("breaker.open_now")
+        OPEN_NOW
+            .get_or_init(|| imcf_telemetry::global().gauge("breaker.open_now"))
             .set(open as f64);
         open
     }
@@ -306,9 +328,9 @@ mod tests {
             failure_threshold: 2,
             cooldown_ticks: 3,
         });
-        bank.breaker("imcf:hvac:kitchen").record_failure(0);
-        bank.breaker("imcf:hvac:kitchen").record_failure(1);
-        bank.breaker("imcf:light:porch").record_failure(1);
+        bank.record_failure("imcf:hvac:kitchen", 0);
+        bank.record_failure("imcf:hvac:kitchen", 1);
+        bank.record_failure("imcf:light:porch", 1);
         assert!(!bank.allows("imcf:hvac:kitchen", 2));
         assert!(bank.allows("imcf:light:porch", 2));
         assert_eq!(bank.open_now(2), 1);
@@ -322,7 +344,7 @@ mod tests {
     #[test]
     fn snapshots_round_trip_through_serde() {
         let mut bank = BreakerBank::new(BreakerConfig::default());
-        bank.breaker("imcf:hvac:hall").record_failure(0);
+        bank.record_failure("imcf:hvac:hall", 0);
         let snaps = bank.snapshots(1);
         let json = serde_json::to_string(&snaps).unwrap();
         let back: Vec<BreakerSnapshot> = serde_json::from_str(&json).unwrap();

@@ -381,7 +381,8 @@ impl Router {
         let Some(channel) = item.channel.clone() else {
             return Response::error(409, &format!("item `{name}` has no channel link"));
         };
-        let Ok(value) = body.parse::<f64>() else {
+        // A non-finite value would actuate a device with NaN or ∞.
+        let Some(value) = body.parse::<f64>().ok().filter(|v| v.is_finite()) else {
             return Response::error(400, &format!("invalid value `{body}`"));
         };
         let payload = match item.kind {
@@ -642,6 +643,20 @@ mod tests {
             router.handle("POST /rest/items/den_SetPoint abc").status,
             400
         );
+        // Non-finite values parse as floats but never reach a device.
+        for item in ["den_SetPoint", "den_Light"] {
+            let before = router.handle(&format!("GET /rest/items/{item}")).body;
+            for value in ["NaN", "inf", "-inf", "infinity"] {
+                let r = router.handle(&format!("POST /rest/items/{item} {value}"));
+                assert_eq!(r.status, 400, "{item} <- {value}");
+                assert!(r.body.contains("invalid value"), "{}", r.body);
+            }
+            assert_eq!(
+                router.handle(&format!("GET /rest/items/{item}")).body,
+                before
+            );
+        }
+        assert_eq!(router.registry.counters(), (0, 0));
         assert_eq!(router.handle("GET /rest/unknown").status, 404);
         assert_eq!(router.handle("DELETE /rest/unknown").status, 404);
         assert_eq!(router.handle("").status, 400);

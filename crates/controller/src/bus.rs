@@ -7,10 +7,10 @@
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use imcf_rules::meta_rule::RuleId;
-use imcf_telemetry::trace;
+use imcf_telemetry::{trace, Counter, Gauge};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Events flowing through the controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -61,18 +61,51 @@ pub enum Event {
     },
 }
 
+/// Every event kind, indexed by [`Event::ordinal`].
+const KINDS: [&str; 6] = [
+    "sensor_update",
+    "plan_computed",
+    "command_delivered",
+    "command_blocked",
+    "command_failed",
+    "tick_completed",
+];
+
 impl Event {
     /// Stable kind name, used as the `event` telemetry label.
     pub fn kind(&self) -> &'static str {
+        KINDS[self.ordinal()]
+    }
+
+    fn ordinal(&self) -> usize {
         match self {
-            Event::SensorUpdate { .. } => "sensor_update",
-            Event::PlanComputed { .. } => "plan_computed",
-            Event::CommandDelivered { .. } => "command_delivered",
-            Event::CommandBlocked { .. } => "command_blocked",
-            Event::CommandFailed { .. } => "command_failed",
-            Event::TickCompleted { .. } => "tick_completed",
+            Event::SensorUpdate { .. } => 0,
+            Event::PlanComputed { .. } => 1,
+            Event::CommandDelivered { .. } => 2,
+            Event::CommandBlocked { .. } => 3,
+            Event::CommandFailed { .. } => 4,
+            Event::TickCompleted { .. } => 5,
         }
     }
+}
+
+/// The bus's metric handles, each fetched from the global registry on its
+/// first use, so a publish costs three relaxed atomic ops.
+fn published(event: &Event) -> &'static Counter {
+    static HANDLES: [OnceLock<Counter>; KINDS.len()] = [const { OnceLock::new() }; KINDS.len()];
+    HANDLES[event.ordinal()].get_or_init(|| {
+        imcf_telemetry::global().counter_with("bus.published", &[("event", event.kind())])
+    })
+}
+
+fn subscribers_gauge() -> &'static Gauge {
+    static HANDLE: OnceLock<Gauge> = OnceLock::new();
+    HANDLE.get_or_init(|| imcf_telemetry::global().gauge("bus.subscribers"))
+}
+
+fn lag_gauge() -> &'static Gauge {
+    static HANDLE: OnceLock<Gauge> = OnceLock::new();
+    HANDLE.get_or_init(|| imcf_telemetry::global().gauge("bus.subscriber_lag"))
 }
 
 /// A broadcast event bus. Events carry no trace context: a publish
@@ -93,9 +126,7 @@ impl EventBus {
         let (tx, rx) = unbounded();
         let mut subs = self.subscribers.lock();
         subs.push(tx);
-        imcf_telemetry::global()
-            .gauge("bus.subscribers")
-            .set(subs.len() as f64);
+        subscribers_gauge().set(subs.len() as f64);
         rx
     }
 
@@ -120,12 +151,9 @@ impl EventBus {
             let lag = subs.iter().map(Sender::len).max().unwrap_or(0);
             (lag, subs.len())
         };
-        let telemetry = imcf_telemetry::global();
-        telemetry
-            .counter_with("bus.published", &[("event", kind)])
-            .inc();
-        telemetry.gauge("bus.subscriber_lag").set(lag as f64);
-        telemetry.gauge("bus.subscribers").set(live as f64);
+        published(&event).inc();
+        lag_gauge().set(lag as f64);
+        subscribers_gauge().set(live as f64);
     }
 
     /// Number of live subscribers.

@@ -12,10 +12,11 @@ use crate::init::InitStrategy;
 use crate::objective::convenience_error_fraction;
 use crate::optimizer::{HillClimbing, Optimizer};
 use crate::solution::Solution;
-use imcf_telemetry::{trace, Stopwatch};
+use imcf_telemetry::{trace, Counter, Histogram, Stopwatch};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Configuration of the Energy Planner.
@@ -131,6 +132,9 @@ pub struct EnergyPlanner<O: Optimizer = HillClimbing> {
     init: InitStrategy,
     seed: u64,
     carry_over: bool,
+    /// `planner.slot_micros{optimizer}` and `planner.slots_planned`,
+    /// fetched on first use: the live loop plans one slot per tick.
+    slot_metrics: OnceLock<(Histogram, Counter)>,
 }
 
 impl EnergyPlanner<HillClimbing> {
@@ -141,6 +145,7 @@ impl EnergyPlanner<HillClimbing> {
             init: config.init,
             seed: config.seed,
             carry_over: true,
+            slot_metrics: OnceLock::new(),
         }
     }
 }
@@ -153,6 +158,7 @@ impl<O: Optimizer> EnergyPlanner<O> {
             init,
             seed,
             carry_over: true,
+            slot_metrics: OnceLock::new(),
         }
     }
 
@@ -167,19 +173,27 @@ impl<O: Optimizer> EnergyPlanner<O> {
         self.optimizer.name()
     }
 
+    fn slot_metrics(&self) -> &(Histogram, Counter) {
+        self.slot_metrics.get_or_init(|| {
+            let telemetry = imcf_telemetry::global();
+            (
+                telemetry.histogram_with(
+                    "planner.slot_micros",
+                    &[("optimizer", self.optimizer_name())],
+                ),
+                telemetry.counter("planner.slots_planned"),
+            )
+        })
+    }
+
     /// Plans every slot of a horizon, returning the aggregated report.
     pub fn plan<I>(&self, slots: I) -> PlanReport
     where
         I: IntoIterator<Item = PlanningSlot>,
     {
-        // Handles are fetched once per horizon; the per-slot cost is two
-        // clock reads and a few relaxed atomic ops.
-        let telemetry = imcf_telemetry::global();
-        let slot_micros = telemetry.histogram_with(
-            "planner.slot_micros",
-            &[("optimizer", self.optimizer_name())],
-        );
-        let slots_planned = telemetry.counter("planner.slots_planned");
+        // The per-slot cost is two clock reads and a few relaxed atomic
+        // ops.
+        let (slot_micros, slots_planned) = self.slot_metrics();
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let mut report = PlanReport::empty();
         let mut reserve = 0.0f64;
@@ -237,12 +251,7 @@ impl<O: Optimizer> EnergyPlanner<O> {
             "plan_slots_parallel requires without_carry_over(): \
              budget carry-over couples consecutive slots sequentially"
         );
-        let telemetry = imcf_telemetry::global();
-        let slot_micros = telemetry.histogram_with(
-            "planner.slot_micros",
-            &[("optimizer", self.optimizer_name())],
-        );
-        let slots_planned = telemetry.counter("planner.slots_planned");
+        let (slot_micros, slots_planned) = self.slot_metrics();
         let start = Stopwatch::start();
         let outcomes = imcf_pool::map_indexed(jobs, slots, |index, slot| {
             // Trace identity mirrors the seed derivation: a function of
@@ -278,18 +287,13 @@ impl<O: Optimizer> EnergyPlanner<O> {
 
     /// Plans a single slot (used by the live controller loop).
     pub fn plan_slot(&self, slot: &PlanningSlot, rng: &mut ChaCha8Rng) -> (Solution, f64) {
-        let slot_micros = imcf_telemetry::global().histogram_with(
-            "planner.slot_micros",
-            &[("optimizer", self.optimizer_name())],
-        );
+        let (slot_micros, slots_planned) = self.slot_metrics();
         let tspan = trace::span("planner.plan_slot");
         let init = self.init.generate(slot.len(), rng);
         let slot_start = Stopwatch::start();
         let (bits, obj) = self.optimizer.optimize(slot, init, rng);
         slot_micros.observe(slot_start.elapsed_micros() as f64);
-        imcf_telemetry::global()
-            .counter("planner.slots_planned")
-            .inc();
+        slots_planned.inc();
         if trace::active() {
             tspan.attr("optimizer", self.optimizer_name());
             record_slot_decision(slot, &bits, obj.energy_kwh);

@@ -68,11 +68,44 @@ pub struct DeviceRegistry {
 struct Inner {
     things: BTreeMap<ThingUid, Thing>,
     items: BTreeMap<String, Item>,
+    /// Linked item names by channel, in name order. Built by the first
+    /// delivery after an `add_item` (which drops it), so provisioning never
+    /// pays for it and a delivery finds its items without a scan.
+    links: Option<BTreeMap<ChannelUid, Vec<String>>>,
     egress: Option<Arc<EgressFilter>>,
     faults: Option<Arc<FaultInjector>>,
     delivered: u64,
     blocked: u64,
     failed: u64,
+}
+
+impl Inner {
+    /// Reflects a delivered command into every item linked to its channel,
+    /// like openHAB's autoupdate, and counts the delivery. Dispatch and
+    /// journal replay share it, so both update the same items.
+    fn deliver(&mut self, cmd: &Command) {
+        let new_state = match cmd.payload {
+            CommandPayload::Power(on) => ItemState::OnOff(on),
+            CommandPayload::SetTemperature { celsius, .. } => ItemState::Decimal(celsius),
+            CommandPayload::SetLevel(level) => ItemState::Percent(level),
+        };
+        let items = &mut self.items;
+        let links = self.links.get_or_insert_with(|| {
+            let mut links: BTreeMap<ChannelUid, Vec<String>> = BTreeMap::new();
+            for (name, item) in items.iter() {
+                if let Some(channel) = &item.channel {
+                    links.entry(channel.clone()).or_default().push(name.clone());
+                }
+            }
+            links
+        });
+        for name in links.get(&cmd.channel).into_iter().flatten() {
+            if let Some(item) = items.get_mut(name) {
+                let _ = item.apply(new_state);
+            }
+        }
+        self.delivered += 1;
+    }
 }
 
 impl DeviceRegistry {
@@ -96,6 +129,9 @@ impl DeviceRegistry {
         let mut inner = self.inner.write();
         if inner.items.contains_key(&item.name) {
             return Err(RegistryError::DuplicateItem(item.name));
+        }
+        if item.channel.is_some() {
+            inner.links = None;
         }
         inner.items.insert(item.name.clone(), item);
         Ok(())
@@ -151,6 +187,11 @@ impl DeviceRegistry {
 
     /// Installs the firewall's egress filter. Commands for which the filter
     /// returns `false` are dropped with [`CommandOutcome::Blocked`].
+    ///
+    /// The filter runs under the registry's write lock, so it must not
+    /// call back into this registry. A filter that takes a lock of its own
+    /// (the controller's firewall chain) fixes the lock order: registry,
+    /// then that lock. Never dispatch while holding it.
     pub fn set_egress_filter<F>(&self, filter: F)
     where
         F: Fn(&Thing, &Command) -> bool + Send + Sync + 'static,
@@ -164,9 +205,9 @@ impl DeviceRegistry {
     }
 
     /// Installs a fault injector. It runs *after* the egress filter (a
-    /// firewall DROP wins over an in-flight fault); returning
-    /// `Some(reason)` fails the delivery with [`CommandOutcome::Failed`]
-    /// and leaves item state untouched.
+    /// firewall DROP wins over an in-flight fault), under the same write
+    /// lock; returning `Some(reason)` fails the delivery with
+    /// [`CommandOutcome::Failed`] and leaves item state untouched.
     pub fn set_fault_injector<F>(&self, injector: F)
     where
         F: Fn(&Thing, &Command) -> Option<String> + Send + Sync + 'static,
@@ -180,52 +221,33 @@ impl DeviceRegistry {
     }
 
     /// Dispatches a command: resolves the destination thing, consults the
-    /// egress filter, renders the wire form and reflects the new state into
-    /// linked items.
+    /// egress filter and the fault injector, renders the wire form and
+    /// reflects the new state into linked items — all under one write
+    /// lock, with the thing looked up once and borrowed, not cloned.
     pub fn dispatch(&self, cmd: &Command) -> Result<CommandOutcome, RegistryError> {
-        let (filter, injector, thing) = {
-            let inner = self.inner.read();
-            let thing = inner
-                .things
-                .get(&cmd.channel.thing)
-                .ok_or_else(|| RegistryError::UnknownChannelThing(cmd.channel.clone()))?;
-            if !thing.online {
-                return Ok(CommandOutcome::Offline);
-            }
-            (inner.egress.clone(), inner.faults.clone(), thing.clone())
-        };
-        if let Some(f) = filter {
-            if !f(&thing, cmd) {
-                self.inner.write().blocked += 1;
-                return Ok(CommandOutcome::Blocked);
-            }
-        }
-        if let Some(inject) = injector {
-            if let Some(reason) = inject(&thing, cmd) {
-                self.inner.write().failed += 1;
-                return Ok(CommandOutcome::Failed { reason });
-            }
-        }
-        let mut inner = self.inner.write();
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
         let thing = inner
             .things
             .get(&cmd.channel.thing)
-            .cloned()
             .ok_or_else(|| RegistryError::UnknownChannelThing(cmd.channel.clone()))?;
-        let wire = cmd.render(&thing);
-        // Reflect the command into every item linked to the channel, like
-        // openHAB's autoupdate.
-        let new_state = match cmd.payload {
-            CommandPayload::Power(on) => ItemState::OnOff(on),
-            CommandPayload::SetTemperature { celsius, .. } => ItemState::Decimal(celsius),
-            CommandPayload::SetLevel(level) => ItemState::Percent(level),
-        };
-        for item in inner.items.values_mut() {
-            if item.channel.as_ref() == Some(&cmd.channel) {
-                let _ = item.apply(new_state);
+        if !thing.online {
+            return Ok(CommandOutcome::Offline);
+        }
+        if let Some(filter) = &inner.egress {
+            if !filter(thing, cmd) {
+                inner.blocked += 1;
+                return Ok(CommandOutcome::Blocked);
             }
         }
-        inner.delivered += 1;
+        if let Some(inject) = &inner.faults {
+            if let Some(reason) = inject(thing, cmd) {
+                inner.failed += 1;
+                return Ok(CommandOutcome::Failed { reason });
+            }
+        }
+        let wire = cmd.render(thing);
+        inner.deliver(cmd);
         Ok(CommandOutcome::Delivered(wire))
     }
 
@@ -240,17 +262,7 @@ impl DeviceRegistry {
         if !inner.things.contains_key(&cmd.channel.thing) {
             return Err(RegistryError::UnknownChannelThing(cmd.channel.clone()));
         }
-        let new_state = match cmd.payload {
-            CommandPayload::Power(on) => ItemState::OnOff(on),
-            CommandPayload::SetTemperature { celsius, .. } => ItemState::Decimal(celsius),
-            CommandPayload::SetLevel(level) => ItemState::Percent(level),
-        };
-        for item in inner.items.values_mut() {
-            if item.channel.as_ref() == Some(&cmd.channel) {
-                let _ = item.apply(new_state);
-            }
-        }
-        inner.delivered += 1;
+        inner.deliver(cmd);
         Ok(())
     }
 
@@ -301,6 +313,104 @@ mod tests {
             ItemState::Decimal(25.0)
         );
         assert_eq!(reg.counters(), (1, 0));
+    }
+
+    fn set_temperature(ch: &ChannelUid, celsius: f64) -> Command {
+        Command::binding(
+            ch.clone(),
+            CommandPayload::SetTemperature {
+                celsius,
+                cooling: false,
+            },
+        )
+    }
+
+    fn state(reg: &DeviceRegistry, name: &str) -> ItemState {
+        reg.item(name).unwrap().state
+    }
+
+    #[test]
+    fn dispatch_reaches_every_item_linked_to_the_channel() {
+        let (reg, ch) = setup();
+        reg.add_item(Item::new("DaikinACUnit_Mirror", ItemKind::Number).linked_to(ch.clone()))
+            .unwrap();
+        reg.add_item(Item::new("Unlinked", ItemKind::Number))
+            .unwrap();
+        let power = ChannelUid::new(ch.thing.clone(), "power");
+        reg.add_item(Item::new("DaikinACUnit_Power", ItemKind::Switch).linked_to(power))
+            .unwrap();
+        reg.dispatch(&set_temperature(&ch, 23.0)).unwrap();
+        assert_eq!(
+            state(&reg, "DaikinACUnit_SetPoint"),
+            ItemState::Decimal(23.0)
+        );
+        assert_eq!(state(&reg, "DaikinACUnit_Mirror"), ItemState::Decimal(23.0));
+        // Neither an unlinked item nor one on another channel moves.
+        assert_eq!(state(&reg, "Unlinked"), ItemState::Undefined);
+        assert_eq!(state(&reg, "DaikinACUnit_Power"), ItemState::Undefined);
+    }
+
+    #[test]
+    fn an_item_linked_after_a_dispatch_is_updated_by_the_next() {
+        let (reg, ch) = setup();
+        reg.dispatch(&set_temperature(&ch, 20.0)).unwrap();
+        reg.add_item(Item::new("Late", ItemKind::Number).linked_to(ch.clone()))
+            .unwrap();
+        assert_eq!(state(&reg, "Late"), ItemState::Undefined);
+        reg.dispatch(&set_temperature(&ch, 26.0)).unwrap();
+        assert_eq!(state(&reg, "Late"), ItemState::Decimal(26.0));
+        assert_eq!(
+            state(&reg, "DaikinACUnit_SetPoint"),
+            ItemState::Decimal(26.0)
+        );
+    }
+
+    #[test]
+    fn an_offline_things_items_keep_their_state() {
+        let (reg, ch) = setup();
+        reg.dispatch(&set_temperature(&ch, 22.0)).unwrap();
+        reg.set_online(&ch.thing, false).unwrap();
+        assert_eq!(
+            reg.dispatch(&set_temperature(&ch, 30.0)).unwrap(),
+            CommandOutcome::Offline
+        );
+        assert_eq!(
+            state(&reg, "DaikinACUnit_SetPoint"),
+            ItemState::Decimal(22.0)
+        );
+        assert_eq!(reg.counters(), (1, 0));
+    }
+
+    #[test]
+    fn replay_updates_the_items_dispatch_updates() {
+        let items = |reg: &DeviceRegistry| -> Vec<ItemState> {
+            reg.item_names().iter().map(|n| state(reg, n)).collect()
+        };
+        let build = || {
+            let (reg, ch) = setup();
+            reg.add_item(Item::new("A_Mirror", ItemKind::Number).linked_to(ch.clone()))
+                .unwrap();
+            reg.add_item(Item::new("B_Unlinked", ItemKind::Number))
+                .unwrap();
+            (reg, ch)
+        };
+        let (live, ch) = build();
+        let (replayed, _) = build();
+        for celsius in [19.0, 24.5] {
+            let cmd = set_temperature(&ch, celsius);
+            live.dispatch(&cmd).unwrap();
+            replayed.apply_replayed(&cmd).unwrap();
+            assert_eq!(items(&live), items(&replayed));
+        }
+        assert_eq!(
+            items(&live),
+            vec![
+                ItemState::Decimal(24.5),
+                ItemState::Undefined,
+                ItemState::Decimal(24.5)
+            ]
+        );
+        assert_eq!(live.counters(), replayed.counters());
     }
 
     #[test]

@@ -32,11 +32,17 @@ impl EnergyMeter {
         }
     }
 
-    /// Records a consumption event.
+    /// Records a consumption event. The zone key is allocated only the
+    /// first time a zone is seen.
     pub fn record(&mut self, hour_index: u64, zone: &str, class: DeviceClass, kwh: f64) {
         debug_assert!(kwh >= 0.0, "negative consumption");
         self.total_kwh += kwh;
-        *self.per_zone.entry(zone.to_string()).or_insert(0.0) += kwh;
+        if !self.per_zone.contains_key(zone) {
+            self.per_zone.insert(zone.to_string(), 0.0);
+        }
+        if let Some(zone_kwh) = self.per_zone.get_mut(zone) {
+            *zone_kwh += kwh;
+        }
         *self.per_class.entry(class).or_insert(0.0) += kwh;
         let month = self.calendar.month_of(hour_index) as usize - 1;
         self.per_month[month] += kwh;

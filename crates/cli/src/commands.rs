@@ -1,6 +1,7 @@
 //! The CLI subcommands.
 
-use crate::args::ArgSpec;
+use crate::args::Kind::{Choice, Float, FloatBelow, Int, Text};
+use crate::args::{opt, Command, Opt, Parsed, THREADS, U32};
 use imcf_core::amortization::{AmortizationPlan, ApKind};
 use imcf_core::calendar::{PaperCalendar, HOURS_PER_MONTH};
 use imcf_core::candidate::PlanningSlot;
@@ -25,36 +26,27 @@ fn load_mrt(path: &str) -> Result<Mrt, String> {
     parse_mrt(&read_file(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
-fn climate(name: &str) -> Result<ClimateModel, String> {
-    match name {
-        "mediterranean" => Ok(ClimateModel::mediterranean()),
-        "continental" => Ok(ClimateModel::continental()),
-        other => Err(format!(
-            "unknown climate `{other}` (mediterranean|continental)"
-        )),
+/// `--dataset`: one of the paper's three datasets.
+const DATASET: &[Opt] = &[opt("dataset", Choice(&["flat", "house", "dorms"]))];
+
+/// The `--dataset` a command was given.
+fn dataset_kind(parsed: &Parsed) -> DatasetKind {
+    match parsed.text("dataset") {
+        "flat" => DatasetKind::Flat,
+        "house" => DatasetKind::House,
+        _ => DatasetKind::Dorms,
     }
 }
 
-fn dataset_kind(name: &str) -> Result<DatasetKind, String> {
-    match name {
-        "flat" => Ok(DatasetKind::Flat),
-        "house" => Ok(DatasetKind::House),
-        "dorms" => Ok(DatasetKind::Dorms),
-        other => Err(format!("unknown dataset `{other}` (flat|house|dorms)")),
-    }
-}
+pub const VALIDATE: Command = Command {
+    usage: "validate <mrt-file>",
+    about: "parse a rule table and check it for conflicts",
+    options: &[],
+};
 
 /// `imcf validate <mrt-file>` — parse and conflict-check a rule table.
-pub fn validate(argv: &[String]) -> Result<(), String> {
-    let spec = ArgSpec {
-        options: &[],
-        min_positional: 1,
-        max_positional: 1,
-    };
-    let parsed = spec.parse(argv)?;
-    let Some(path) = parsed.positional(0) else {
-        return Err(String::from("missing <path> argument"));
-    };
+pub fn validate(parsed: &Parsed) -> Result<(), String> {
+    let path = parsed.positional(0);
     let mrt = load_mrt(path)?;
     println!(
         "{path}: {} rules ({} convenience, {} necessity, {} budget rows)",
@@ -113,36 +105,40 @@ fn build_slots(mrt: &Mrt, trace: &Trace, budget_kwh: f64, savings: f64) -> Vec<P
         .collect()
 }
 
+pub const PLAN: Command = Command {
+    usage: "plan <mrt-file>",
+    about: "plan a horizon under the table's budget row",
+    options: &[&[
+        opt("days", Int(1, u64::MAX)).unset("the budget row's horizon, at most 31"),
+        opt("climate", Choice(&["mediterranean", "continental"])).default("mediterranean"),
+        opt("seed", Int(0, u64::MAX)).default("0"),
+        opt("k", Int(1, u64::MAX)).default("2"),
+        opt("tau", Int(0, U32)).default("100"),
+        opt("savings", FloatBelow(0.0, 100.0)).default("0"),
+        opt("jobs", Int(1, THREADS)).unset("one planner that carries unspent budget over"),
+    ]],
+};
+
 /// `imcf plan <mrt-file>` — plan a horizon under the table's budget row.
-pub fn plan(argv: &[String]) -> Result<(), String> {
-    let spec = ArgSpec {
-        options: &["days", "climate", "seed", "k", "tau", "savings", "jobs"],
-        min_positional: 1,
-        max_positional: 1,
-    };
-    let parsed = spec.parse(argv)?;
-    let Some(path) = parsed.positional(0) else {
-        return Err(String::from("missing <path> argument"));
-    };
+pub fn plan(parsed: &Parsed) -> Result<(), String> {
+    let path = parsed.positional(0);
     let mrt = load_mrt(path)?;
     let (budget, budget_horizon) = mrt
         .tightest_budget()
         .ok_or("the table has no `Set kWh Limit` row to plan against")?;
 
-    let days = parsed.get_u64_in("days", (budget_horizon / 24).clamp(1, 31), 1..=u64::MAX)?;
+    let budget_days = (budget_horizon / 24).clamp(1, 31);
+    let days = parsed.maybe("days").unwrap_or(budget_days);
     let horizon = days.saturating_mul(24).min(budget_horizon);
-    let seed = parsed.get_u64("seed", 0)?;
-    let k = parsed.get_u64_in("k", 2, 1..=u64::MAX)? as usize;
-    let tau = parsed.get_u64("tau", 100)? as u32;
-    let savings = parsed.get_f64("savings", 0.0)? / 100.0;
-    if !(0.0..1.0).contains(&savings) {
-        return Err("--savings must be in [0, 100)".to_string());
-    }
-    let climate_model = climate(parsed.get("climate").unwrap_or("mediterranean"))?;
+    let seed = parsed.get("seed");
+    let savings = parsed.get::<f64>("savings") / 100.0;
 
     let calendar = PaperCalendar::january_start();
     let generator = TraceGenerator {
-        climate: climate_model,
+        climate: match parsed.text("climate") {
+            "mediterranean" => ClimateModel::mediterranean(),
+            _ => ClimateModel::continental(),
+        },
         calendar,
         horizon_hours: horizon,
         seed,
@@ -154,8 +150,8 @@ pub fn plan(argv: &[String]) -> Result<(), String> {
     let slots = build_slots(&mrt, &trace, budget_share, savings);
 
     let planner = EnergyPlanner::from_config(PlannerConfig {
-        k,
-        tau_max: tau,
+        k: parsed.get("k"),
+        tau_max: parsed.get("tau"),
         init: InitStrategy::AllOnes,
         seed,
     });
@@ -163,12 +159,8 @@ pub fn plan(argv: &[String]) -> Result<(), String> {
     // slot independently and therefore cannot bank unspent budget between
     // hours — equivalent to `without_carry_over()`. Without the flag the
     // legacy sequential planner (with carry-over) runs unchanged.
-    let report = match parsed.get("jobs") {
-        Some(_) => {
-            let n = parsed.get_u64("jobs", 0)? as usize;
-            if n == 0 {
-                return Err("--jobs must be at least 1".to_string());
-            }
+    let report = match parsed.maybe("jobs") {
+        Some(n) => {
             println!(
                 "note: --jobs plans slots independently (strict per-slot budgets, no carry-over)"
             );
@@ -201,17 +193,23 @@ pub fn plan(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub const SIMULATE: Command = Command {
+    usage: "simulate",
+    about: "run the paper's datasets end to end: NR, IFTTT, EP and MR",
+    options: &[
+        DATASET,
+        &[
+            opt("months", Int(1, 36)).default("36"),
+            opt("seed", Int(0, u64::MAX)).default("0"),
+        ],
+    ],
+};
+
 /// `imcf simulate --dataset <kind>` — run the paper's datasets.
-pub fn simulate(argv: &[String]) -> Result<(), String> {
-    let spec = ArgSpec {
-        options: &["dataset", "months", "seed"],
-        min_positional: 0,
-        max_positional: 0,
-    };
-    let parsed = spec.parse(argv)?;
-    let kind = dataset_kind(parsed.get("dataset").ok_or("--dataset is required")?)?;
-    let months = parsed.get_u64("months", 36)?.min(36);
-    let seed = parsed.get_u64("seed", 0)?;
+pub fn simulate(parsed: &Parsed) -> Result<(), String> {
+    let kind = dataset_kind(parsed);
+    let months: u64 = parsed.get("months");
+    let seed = parsed.get("seed");
 
     let dataset = Dataset::build(kind, seed);
     let ecp = dataset.derive_mr_ecp();
@@ -257,16 +255,16 @@ pub fn simulate(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub const ECP: Command = Command {
+    usage: "ecp",
+    about: "print a dataset's derived energy consumption profile",
+    options: &[DATASET, &[opt("seed", Int(0, u64::MAX)).default("0")]],
+};
+
 /// `imcf ecp --dataset <kind>` — print the derived consumption profile.
-pub fn ecp(argv: &[String]) -> Result<(), String> {
-    let spec = ArgSpec {
-        options: &["dataset", "seed"],
-        min_positional: 0,
-        max_positional: 0,
-    };
-    let parsed = spec.parse(argv)?;
-    let kind = dataset_kind(parsed.get("dataset").ok_or("--dataset is required")?)?;
-    let seed = parsed.get_u64("seed", 0)?;
+pub fn ecp(parsed: &Parsed) -> Result<(), String> {
+    let kind = dataset_kind(parsed);
+    let seed: u64 = parsed.get("seed");
     let dataset = Dataset::build(kind, seed);
     let derived: Ecp = dataset.derive_mr_ecp();
     println!("derived ECP for {} (seed {seed}):", kind.label());
@@ -283,24 +281,27 @@ pub fn ecp(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub const WORKFLOW: Command = Command {
+    usage: "workflow <wf-file>",
+    about: "dry-run a procedural workflow against one environment",
+    options: &[&[
+        opt("temperature", Float(f64::NEG_INFINITY, f64::INFINITY)).default("15"),
+        opt("light", Float(f64::NEG_INFINITY, f64::INFINITY)).default("0"),
+        opt("hour", Int(0, 23)).default("0"),
+        opt("month", Int(1, 12)).default("1"),
+    ]],
+};
+
 /// `imcf workflow <wf-file>` — parse and dry-run a workflow program.
-pub fn workflow(argv: &[String]) -> Result<(), String> {
-    let spec = ArgSpec {
-        options: &["temperature", "light", "hour", "month"],
-        min_positional: 1,
-        max_positional: 1,
-    };
-    let parsed = spec.parse(argv)?;
-    let Some(path) = parsed.positional(0) else {
-        return Err(String::from("missing <path> argument"));
-    };
+pub fn workflow(parsed: &Parsed) -> Result<(), String> {
+    let path = parsed.positional(0);
     let wf = parse_workflow(&read_file(path)?).map_err(|e| format!("{path}: {e}"))?;
 
     let env = EnvSnapshot::neutral()
-        .with_month(parsed.get_u64_in("month", 1, 1..=12)? as u32)
-        .with_hour(parsed.get_u64_in("hour", 0, 0..=23)? as u32)
-        .with_temperature(parsed.get_f64("temperature", 15.0)?)
-        .with_light(parsed.get_f64("light", 0.0)?);
+        .with_month(parsed.get("month"))
+        .with_hour(parsed.get("hour"))
+        .with_temperature(parsed.get("temperature"))
+        .with_light(parsed.get("light"));
     let outcome = wf.run(&env).map_err(|e| format!("workflow failed: {e}"))?;
     println!(
         "workflow `{}` against T={}°C, light={}, {:02}:00:",
@@ -318,7 +319,7 @@ pub fn workflow(argv: &[String]) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::tests::imcf;
     use std::io::Write;
 
     fn write_temp(content: &str, ext: &str) -> (tempfile::TempDir, String) {
@@ -327,10 +328,6 @@ mod tests {
         let mut f = std::fs::File::create(&path).unwrap();
         f.write_all(content.as_bytes()).unwrap();
         (dir, path.to_string_lossy().into_owned())
-    }
-
-    fn argv(items: &[&str]) -> Vec<String> {
-        items.iter().map(|s| s.to_string()).collect()
     }
 
     const GOOD_MRT: &str = "\
@@ -342,7 +339,7 @@ Budget | for 1 month | Set kWh Limit | 400
     #[test]
     fn validate_accepts_clean_table() {
         let (_dir, path) = write_temp(GOOD_MRT, "mrt");
-        validate(&argv(&[&path])).unwrap();
+        imcf(&["validate", &path]).unwrap();
     }
 
     #[test]
@@ -352,53 +349,62 @@ Freezer | 00:00 - 24:00 | Set Temperature | 4 | necessity
 Budget | for 1 month | Set kWh Limit | 1
 ";
         let (_dir, path) = write_temp(text, "mrt");
-        let err = validate(&argv(&[&path])).unwrap_err();
+        let err = imcf(&["validate", &path]).unwrap_err();
         assert!(err.contains("unsatisfiable"));
     }
 
     #[test]
     fn validate_rejects_bad_file() {
         let (_dir, path) = write_temp("not a rule table\n", "mrt");
-        assert!(validate(&argv(&[&path])).is_err());
-        assert!(validate(&argv(&["/nonexistent/file.mrt"])).is_err());
+        assert!(imcf(&["validate", &path]).is_err());
+        assert!(imcf(&["validate", "/nonexistent/file.mrt"]).is_err());
     }
 
     #[test]
     fn plan_runs_a_week() {
         let (_dir, path) = write_temp(GOOD_MRT, "mrt");
-        plan(&argv(&[&path, "--days", "7", "--seed", "3", "--tau", "40"])).unwrap();
+        imcf(&["plan", &path, "--days", "7", "--seed", "3", "--tau", "40"]).unwrap();
     }
 
     #[test]
     fn plan_requires_budget_row() {
         let (_dir, path) = write_temp("A | 01:00 - 02:00 | Set Light | 10\n", "mrt");
-        let err = plan(&argv(&[&path])).unwrap_err();
+        let err = imcf(&["plan", &path]).unwrap_err();
         assert!(err.contains("no `Set kWh Limit`"));
     }
 
     #[test]
     fn plan_validates_savings_range() {
         let (_dir, path) = write_temp(GOOD_MRT, "mrt");
-        let err = plan(&argv(&[&path, "--savings", "150"])).unwrap_err();
-        assert!(err.contains("[0, 100)"));
+        let err = imcf(&["plan", &path, "--savings", "150"]).unwrap_err();
+        assert_eq!(
+            err,
+            "`--savings` expects a finite number in 0..100, found `150`"
+        );
     }
 
     #[test]
     fn simulate_needs_known_dataset() {
-        let err = simulate(&argv(&["--dataset", "castle"])).unwrap_err();
-        assert!(err.contains("unknown dataset"));
-        let err = simulate(&argv(&[])).unwrap_err();
-        assert!(err.contains("--dataset is required"));
+        let err = imcf(&["simulate", "--dataset", "castle"]).unwrap_err();
+        assert_eq!(
+            err,
+            "`--dataset` expects one of flat|house|dorms, found `castle`"
+        );
+        let err = imcf(&["simulate"]).unwrap_err();
+        assert_eq!(
+            err,
+            "option `--dataset` is required: one of flat|house|dorms"
+        );
     }
 
     #[test]
     fn simulate_flat_one_month() {
-        simulate(&argv(&["--dataset", "flat", "--months", "1"])).unwrap();
+        imcf(&["simulate", "--dataset", "flat", "--months", "1"]).unwrap();
     }
 
     #[test]
     fn ecp_prints_profile() {
-        ecp(&argv(&["--dataset", "flat"])).unwrap();
+        imcf(&["ecp", "--dataset", "flat"]).unwrap();
     }
 
     #[test]
@@ -406,17 +412,26 @@ Budget | for 1 month | Set kWh Limit | 1
         let wf =
             "workflow \"w\"\n  if env.temperature < 18\n    actuate temperature 21\n  end\nend\n";
         let (_dir, path) = write_temp(wf, "wf");
-        workflow(&argv(&[&path, "--temperature", "12"])).unwrap();
-        workflow(&argv(&[&path, "--temperature", "25"])).unwrap();
+        imcf(&["workflow", &path, "--temperature", "12"]).unwrap();
+        imcf(&["workflow", &path, "--temperature", "25"]).unwrap();
     }
 
     #[test]
     fn workflow_reports_parse_errors() {
         let (_dir, path) = write_temp("workflow \"w\"\n  bogus\nend\n", "wf");
-        let err = workflow(&argv(&[&path])).unwrap_err();
+        let err = imcf(&["workflow", &path]).unwrap_err();
         assert!(err.contains("line 2"));
     }
 }
+
+pub const SCHEDULE: Command = Command {
+    usage: "schedule <loads-file>",
+    about: "place deferrable loads into the cheapest hours with headroom",
+    options: &[&[
+        opt("horizon", Int(1, 8_784)).default("48"),
+        opt("headroom", Float(0.0, f64::INFINITY)).default("4"),
+    ]],
+};
 
 /// `imcf schedule <loads-file>` — place deferrable loads into green hours.
 ///
@@ -426,20 +441,12 @@ Budget | for 1 month | Set kWh Limit | 1
 /// EV charge | 3.7 | 3 | 0..30
 /// dishwasher | 1.1 | 1 | 8..22
 /// ```
-pub fn schedule(argv: &[String]) -> Result<(), String> {
+pub fn schedule(parsed: &Parsed) -> Result<(), String> {
     use imcf_core::deferrable::{schedule_loads, DeferrableLoad, ScheduleContext};
 
-    let spec = ArgSpec {
-        options: &["horizon", "headroom"],
-        min_positional: 1,
-        max_positional: 1,
-    };
-    let parsed = spec.parse(argv)?;
-    let Some(path) = parsed.positional(0) else {
-        return Err(String::from("missing <path> argument"));
-    };
-    let horizon = parsed.get_u64("horizon", 48)?;
-    let headroom = parsed.get_f64("headroom", 4.0)?;
+    let path = parsed.positional(0);
+    let horizon: u64 = parsed.get("horizon");
+    let headroom: f64 = parsed.get("headroom");
 
     let mut loads = Vec::new();
     for (idx, raw) in read_file(path)?.lines().enumerate() {
@@ -454,9 +461,11 @@ pub fn schedule(argv: &[String]) -> Result<(), String> {
                 idx + 1
             ));
         }
-        let kwh: f64 = fields[1]
-            .parse()
-            .map_err(|_| format!("{path}:{}: bad kWh `{}`", idx + 1, fields[1]))?;
+        let kwh = fields[1]
+            .parse::<f64>()
+            .ok()
+            .filter(|kwh| kwh.is_finite() && *kwh >= 0.0)
+            .ok_or_else(|| format!("{path}:{}: bad kWh `{}`", idx + 1, fields[1]))?;
         let hours: u64 = fields[2]
             .parse()
             .map_err(|_| format!("{path}:{}: bad duration `{}`", idx + 1, fields[2]))?;
@@ -469,7 +478,7 @@ pub fn schedule(argv: &[String]) -> Result<(), String> {
         let deadline: u64 = b
             .parse()
             .map_err(|_| format!("{path}:{}: bad deadline `{b}`", idx + 1))?;
-        if hours == 0 || release + hours > deadline {
+        if hours == 0 || release.checked_add(hours).is_none_or(|end| end > deadline) {
             return Err(format!(
                 "{path}:{}: window {release}..{deadline} cannot fit {hours} h",
                 idx + 1
@@ -514,7 +523,7 @@ pub fn schedule(argv: &[String]) -> Result<(), String> {
 
 #[cfg(test)]
 mod schedule_tests {
-    use super::*;
+    use crate::tests::imcf;
     use std::io::Write;
 
     fn write_temp(content: &str) -> (tempfile::TempDir, String) {
@@ -525,80 +534,66 @@ mod schedule_tests {
         (dir, path.to_string_lossy().into_owned())
     }
 
-    fn argv(items: &[&str]) -> Vec<String> {
-        items.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
     fn schedules_a_load_file() {
         let (_d, path) =
             write_temp("# loads\nEV | 3.0 | 3 | 0..30\ndishwasher | 1.1 | 1 | 8..22\n");
-        schedule(&argv(&[&path])).unwrap();
+        imcf(&["schedule", &path]).unwrap();
     }
 
     #[test]
     fn rejects_malformed_rows() {
-        let (_d, path) = write_temp("just nonsense\n");
-        assert!(schedule(&argv(&[&path])).unwrap_err().contains("expected"));
-        let (_d2, path2) = write_temp("EV | 3.0 | 9 | 0..5\n");
-        assert!(schedule(&argv(&[&path2]))
-            .unwrap_err()
-            .contains("cannot fit"));
-        let (_d3, path3) = write_temp("# only comments\n");
-        assert!(schedule(&argv(&[&path3])).unwrap_err().contains("no loads"));
+        for (rows, wanted) in [
+            ("just nonsense\n", "expected"),
+            ("EV | 3.0 | 9 | 0..5\n", "cannot fit"),
+            ("# only comments\n", "no loads"),
+            ("ev | NaN | 3 | 0..24\n", ":1: bad kWh `NaN`"),
+            ("# loads\nev | -5 | 3 | 0..24\n", ":2: bad kWh `-5`"),
+            (
+                "ev | 2 | 18446744073709551615 | 1..24\n",
+                ":1: window 1..24 cannot fit 18446744073709551615 h",
+            ),
+        ] {
+            let (_d, path) = write_temp(rows);
+            let err = imcf(&["schedule", &path]).unwrap_err();
+            assert!(err.contains(wanted), "{rows}: {err}");
+        }
     }
 
     #[test]
     fn infeasible_headroom_reports() {
         let (_d, path) = write_temp("EV | 9.0 | 2 | 0..10\n");
-        let err = schedule(&argv(&[&path, "--headroom", "1.0"])).unwrap_err();
+        let err = imcf(&["schedule", &path, "--headroom", "1.0"]).unwrap_err();
         assert!(err.contains("EV"));
     }
 }
+
+pub const CHAOS: Command = Command {
+    usage: "chaos",
+    about: "run one seeded fault-injection soak and print its outcome as JSON",
+    options: &[&[
+        opt("rate", Float(0.0, 1.0)).default("0.1"),
+        opt("store-rate", Float(0.0, 1.0)).unset("half of --rate"),
+        opt("ticks", Int(1, u64::MAX)).default("168"),
+        opt("seed", Int(0, u64::MAX)).default("0"),
+        opt("zones", Int(1, u64::MAX)).default("2"),
+        opt("outage-rate", Float(0.0, f64::INFINITY)).default("0"),
+        opt("journal", Text("dir")).unset("the journal is not kept"),
+        opt("trace", Text("path")).unset("no causal traces are recorded"),
+    ]],
+};
 
 /// `imcf chaos` — run a deterministic fault-injection soak and print the
 /// outcome as JSON. The same engine backs the `chaos_soak` bench; this
 /// entry point runs a single cell so operators can probe survivability
 /// at a chosen fault rate (and optionally keep the journal on disk to
-/// inspect the torn-tail recovery path).
-pub fn chaos(argv: &[String]) -> Result<(), String> {
-    // `--crash` switches to the kill-at-crashpoint soak: a child process
-    // is killed mid-write at seeded crashpoints and must recover with
-    // exactly-once actuation (see `crash_commands`).
-    if let Some(i) = argv.iter().position(|a| a == "--crash") {
-        let mut rest = argv.to_vec();
-        rest.remove(i);
-        return crate::crash_commands::crash_soak(&rest);
-    }
-    let spec = ArgSpec {
-        options: &[
-            "rate",
-            "store-rate",
-            "ticks",
-            "seed",
-            "zones",
-            "outage-rate",
-            "journal",
-            "trace",
-        ],
-        min_positional: 0,
-        max_positional: 0,
-    };
-    let parsed = spec.parse(argv)?;
-    let rate = parsed.get_f64("rate", 0.1)?;
-    let store_rate = parsed.get_f64("store-rate", rate / 2.0)?;
-    let ticks = parsed.get_u64("ticks", 168)?;
-    let seed = parsed.get_u64("seed", 0)?;
-    let zones = parsed.get_u64("zones", 2)? as usize;
-    let outage_rate = parsed.get_f64("outage-rate", 0.0)?;
-    let journal = parsed.get("journal").map(std::path::PathBuf::from);
-    let trace_path = parsed.get("trace").map(std::path::PathBuf::from);
-    if !(0.0..=1.0).contains(&rate) || !(0.0..=1.0).contains(&store_rate) {
-        return Err(String::from("fault rates must be within 0.0..=1.0"));
-    }
-    if ticks == 0 || zones == 0 {
-        return Err(String::from("--ticks and --zones must be at least 1"));
-    }
+/// inspect the torn-tail recovery path). `imcf chaos --crash` is the
+/// kill-at-crashpoint soak instead (see `crash_commands`).
+pub fn chaos(parsed: &Parsed) -> Result<(), String> {
+    let rate: f64 = parsed.get("rate");
+    let seed = parsed.get("seed");
+    let journal = parsed.maybe_text("journal").map(std::path::PathBuf::from);
+    let trace_path = parsed.maybe_text("trace").map(std::path::PathBuf::from);
 
     // Arm the flight recorder before the soak so every tick's causal
     // record is captured; the panic hook dumps mid-flight traces even if
@@ -608,12 +603,13 @@ pub fn chaos(argv: &[String]) -> Result<(), String> {
         imcf_telemetry::trace::install_panic_hook();
     }
 
+    let store_rate = parsed.maybe("store-rate").unwrap_or(rate / 2.0);
     let config = imcf_controller::SoakConfig {
         seed,
-        ticks,
-        zones,
+        ticks: parsed.get("ticks"),
+        zones: parsed.get("zones"),
         plan: imcf_chaos::FaultPlan::commands(seed, rate).with_store_faults(store_rate),
-        outage_rate_per_week: outage_rate,
+        outage_rate_per_week: parsed.get("outage-rate"),
         ..imcf_controller::SoakConfig::default()
     };
     let outcome = imcf_controller::run_soak(&config, journal.as_deref());
@@ -633,22 +629,6 @@ pub fn chaos(argv: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// `imcf trace` — inspect flight-recorder dumps. The only verb today is
-/// `explain`, which renders the causal chain behind a command in plain
-/// text from a Chrome-trace JSON file (`imcf chaos --trace <path>`, a
-/// flight-recorder dump, or `GET /rest/traces?id=<trace>`).
-pub fn trace(argv: &[String]) -> Result<(), String> {
-    match argv.first().map(String::as_str) {
-        Some("explain") => trace_explain(&argv[1..]),
-        Some(other) => Err(format!(
-            "unknown trace subcommand `{other}` (try `explain`)"
-        )),
-        None => Err(String::from(
-            "usage: imcf trace explain <command-id> --input <trace.json>",
-        )),
-    }
 }
 
 /// One parsed Chrome-trace event, borrowed from the JSON document.
@@ -712,23 +692,21 @@ fn render_attrs(attrs: &[(&str, &str)]) -> String {
         .join(" ")
 }
 
+pub const TRACE_EXPLAIN: Command = Command {
+    usage: "trace explain <command-id>",
+    about: "render the causal chain behind a command (a thing UID such as imcf:hvac:zone0)",
+    options: &[&[opt("input", Text("trace.json"))]],
+};
+
 /// `imcf trace explain <command-id> --input <trace.json>`: finds every
 /// event referencing the command (a thing UID like `imcf:hvac:zone0`, or
-/// any attribute value) and prints its causal chain — root span down to
-/// the referencing event — in plain text.
-fn trace_explain(argv: &[String]) -> Result<(), String> {
-    let spec = ArgSpec {
-        options: &["input"],
-        min_positional: 1,
-        max_positional: 1,
-    };
-    let parsed = spec.parse(argv)?;
-    let needle = parsed
-        .positional(0)
-        .ok_or("missing <command-id> (a thing UID, e.g. `imcf:hvac:zone0`)")?;
-    let input = parsed
-        .get("input")
-        .ok_or("option `--input <trace.json>` is required")?;
+/// any attribute value) in a Chrome-trace JSON file (`imcf chaos --trace
+/// <path>`, a flight-recorder dump, or `GET /rest/traces?id=<trace>`) and
+/// prints its causal chain — root span down to the referencing event — in
+/// plain text.
+pub fn trace_explain(parsed: &Parsed) -> Result<(), String> {
+    let needle = parsed.positional(0);
+    let input = parsed.text("input");
     let text = read_file(input)?;
     let doc: serde_json::Value =
         serde_json::from_str(&text).map_err(|e| format!("{input}: invalid JSON: {e}"))?;
@@ -813,25 +791,23 @@ fn trace_explain(argv: &[String]) -> Result<(), String> {
 
 #[cfg(test)]
 mod chaos_tests {
-    use super::*;
-
-    fn argv(items: &[&str]) -> Vec<String> {
-        items.iter().map(|s| s.to_string()).collect()
-    }
+    use crate::tests::imcf;
 
     #[test]
     fn runs_a_default_soak() {
-        chaos(&argv(&["--ticks", "24", "--zones", "1"])).unwrap();
+        imcf(&["chaos", "--ticks", "24", "--zones", "1"]).unwrap();
     }
 
     #[test]
     fn rejects_out_of_range_rates() {
-        assert!(chaos(&argv(&["--rate", "1.5"]))
-            .unwrap_err()
-            .contains("0.0..=1.0"));
-        assert!(chaos(&argv(&["--ticks", "0"]))
-            .unwrap_err()
-            .contains("at least 1"));
+        assert_eq!(
+            imcf(&["chaos", "--rate", "1.5"]).unwrap_err(),
+            "`--rate` expects a finite number in 0..=1, found `1.5`"
+        );
+        assert_eq!(
+            imcf(&["chaos", "--ticks", "0"]).unwrap_err(),
+            "`--ticks` expects an integer >= 1, found `0`"
+        );
     }
 
     /// End-to-end: `chaos --trace` writes a Chrome-trace file that
@@ -841,9 +817,9 @@ mod chaos_tests {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("chaos.trace.json");
         let path_str = path.to_str().unwrap().to_string();
-        chaos(&argv(&[
-            "--ticks", "12", "--zones", "1", "--rate", "1.0", "--trace", &path_str,
-        ]))
+        imcf(&[
+            "chaos", "--ticks", "12", "--zones", "1", "--rate", "1.0", "--trace", &path_str,
+        ])
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("traceEvents"), "Chrome-trace envelope");
@@ -852,28 +828,36 @@ mod chaos_tests {
             "names the device:\n{text}"
         );
 
-        trace(&argv(&["explain", "imcf:hvac:zone0", "--input", &path_str])).unwrap();
+        imcf(&["trace", "explain", "imcf:hvac:zone0", "--input", &path_str]).unwrap();
 
-        let err = trace(&argv(&["explain", "no:such:thing", "--input", &path_str])).unwrap_err();
+        let err = imcf(&["trace", "explain", "no:such:thing", "--input", &path_str]).unwrap_err();
         assert!(err.contains("no events referencing"), "err: {err}");
     }
 
     #[test]
     fn trace_usage_errors() {
-        assert!(trace(&argv(&[])).unwrap_err().contains("usage"));
-        assert!(trace(&argv(&["frobnicate"]))
+        assert!(imcf(&["trace"])
             .unwrap_err()
-            .contains("unknown trace subcommand"));
-        assert!(trace(&argv(&["explain", "imcf:hvac:zone0"]))
+            .starts_with("unknown command `trace`"));
+        assert!(imcf(&["trace", "frobnicate"])
             .unwrap_err()
-            .contains("--input"));
+            .contains("imcf trace explain <command-id>"));
+        assert_eq!(
+            imcf(&["trace", "explain"]).unwrap_err(),
+            "usage: imcf trace explain <command-id> (found 0 positional args)"
+        );
+        assert_eq!(
+            imcf(&["trace", "explain", "imcf:hvac:zone0"]).unwrap_err(),
+            "option `--input` is required: <trace.json>"
+        );
     }
 
     #[test]
     fn writes_a_journal_when_asked() {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("chaos");
-        chaos(&argv(&[
+        imcf(&[
+            "chaos",
             "--ticks",
             "24",
             "--zones",
@@ -882,7 +866,7 @@ mod chaos_tests {
             "0.2",
             "--journal",
             path.to_str().unwrap(),
-        ]))
+        ])
         .unwrap();
         let has_segment = imcf_store::segment::segment_files(&path, "soak_journal")
             .map(|files| !files.is_empty())

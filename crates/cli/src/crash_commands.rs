@@ -20,7 +20,8 @@
 //!
 //! [`StateDigest`]: imcf_controller::StateDigest
 
-use crate::args::ArgSpec;
+use crate::args::Kind::{Float, Int, Text};
+use crate::args::{opt, Command, Opt, Parsed};
 use imcf_chaos::crashpoint::{self, Crashpoint};
 use imcf_chaos::FaultPlan;
 use imcf_controller::{
@@ -30,28 +31,49 @@ use imcf_controller::{
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::Stdio;
 
-/// The workload parameters one soak (and its reference runs) share.
-#[derive(Debug, Clone, Copy)]
-struct SoakParams {
-    ticks: u64,
-    zones: usize,
-    checkpoint_every: u64,
-    rate: f64,
-}
+/// The workload options the crash parent passes to every child: one
+/// declaration, so that the two read the same defaults and domains.
+const WORKLOAD: &[Opt] = &[
+    opt("ticks", Int(1, u64::MAX)).default("72"),
+    opt("zones", Int(1, u64::MAX)).default("2"),
+    opt("checkpoint-every", Int(0, u64::MAX)).default("8"),
+    opt("rate", Float(0.0, 1.0)).default("0.2"),
+    opt("seed", Int(0, u64::MAX)).default("1"),
+];
 
-/// The recoverable-run config for one run seed. Parent and child build
-/// their configs through this single constructor so the reference run,
-/// the restored runs, and the digest checks all describe the same
-/// workload.
-fn recovery_config(seed: u64, params: &SoakParams) -> RecoveryConfig {
+pub const CRASH: Command = Command {
+    usage: "chaos --crash",
+    about: "K kills at seeded crashpoints: actuation stays exactly-once, recovery byte-identical",
+    options: &[
+        WORKLOAD,
+        &[
+            opt("kills", Int(1, u64::MAX)).default("50"),
+            opt("max-occurrence", Int(1, u64::MAX)).default("12"),
+            opt("dir", Text("dir")).unset("a fresh directory in the system temp dir"),
+            opt("report", Text("path")).unset("crash_soak.json in $IMCF_OUT or target/experiments"),
+        ],
+    ],
+};
+
+pub const CHILD: Command = Command {
+    usage: "chaos-child",
+    about: "one child incarnation of `chaos --crash`, on the store in --dir",
+    options: &[WORKLOAD, &[opt("dir", Text("dir"))]],
+};
+
+/// The recoverable-run config for one run seed, from the [`WORKLOAD`]
+/// options. Parent and child build their configs through this single
+/// constructor so the reference run, the restored runs, and the digest
+/// checks all describe the same workload.
+fn recovery_config(seed: u64, parsed: &Parsed) -> RecoveryConfig {
     RecoveryConfig {
         seed,
-        ticks: params.ticks,
-        zones: params.zones,
-        checkpoint_every: params.checkpoint_every,
-        plan: FaultPlan::commands(seed, params.rate),
+        ticks: parsed.get("ticks"),
+        zones: parsed.get("zones"),
+        checkpoint_every: parsed.get("checkpoint-every"),
+        plan: FaultPlan::commands(seed, parsed.get("rate")),
         ..RecoveryConfig::default()
     }
 }
@@ -145,41 +167,15 @@ impl RunLedger {
     }
 }
 
-/// `imcf chaos --crash` — see the module docs. `argv` is the chaos argv
-/// with the `--crash` token already removed.
-pub fn crash_soak(argv: &[String]) -> Result<(), String> {
-    let spec = ArgSpec {
-        options: &[
-            "kills",
-            "ticks",
-            "seed",
-            "zones",
-            "checkpoint-every",
-            "rate",
-            "max-occurrence",
-            "dir",
-            "report",
-        ],
-        min_positional: 0,
-        max_positional: 0,
-    };
-    let parsed = spec.parse(argv)?;
-    let kills_target = parsed.get_u64("kills", 50)?.max(1);
-    let seed = parsed.get_u64("seed", 1)?;
-    let max_occurrence = parsed.get_u64("max-occurrence", 12)?.max(1);
-    let params = SoakParams {
-        ticks: parsed.get_u64("ticks", 72)?.max(1),
-        zones: parsed.get_u64("zones", 2)?.max(1) as usize,
-        checkpoint_every: parsed.get_u64("checkpoint-every", 8)?,
-        rate: parsed.get_f64("rate", 0.2)?,
-    };
-    if !(0.0..=1.0).contains(&params.rate) {
-        return Err(String::from("--rate must be within 0.0..=1.0"));
-    }
-    let workdir = match parsed.get("dir") {
-        Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("imcf-crash-soak-{}", std::process::id())),
-    };
+/// `imcf chaos --crash` — see the module docs.
+pub fn crash_soak(parsed: &Parsed) -> Result<(), String> {
+    let kills_target: u64 = parsed.get("kills");
+    let seed: u64 = parsed.get("seed");
+    let max_occurrence: u64 = parsed.get("max-occurrence");
+    let rate: f64 = parsed.get("rate");
+    let workload = recovery_config(seed, parsed);
+    let fresh = std::env::temp_dir().join(format!("imcf-crash-soak-{}", std::process::id()));
+    let workdir = parsed.maybe_text("dir").map_or(fresh, PathBuf::from);
     let scratch = workdir.join("reference");
     let exe = std::env::current_exe()
         .map_err(|e| format!("cannot locate the imcf binary to respawn: {e}"))?;
@@ -187,20 +183,20 @@ pub fn crash_soak(argv: &[String]) -> Result<(), String> {
     println!(
         "crash soak: {kills_target} kill(s) over {} tick × {} zone runs \
          (seed {seed}, checkpoint every {}, fault rate {}, dir {})",
-        params.ticks,
-        params.zones,
-        params.checkpoint_every,
-        params.rate,
+        workload.ticks,
+        workload.zones,
+        workload.checkpoint_every,
+        rate,
         workdir.display()
     );
     wipe_and_create(&workdir)?;
 
     let mut report = CrashSoakReport {
         seed,
-        ticks: params.ticks,
-        zones: params.zones,
-        checkpoint_every: params.checkpoint_every,
-        fault_rate: params.rate,
+        ticks: workload.ticks,
+        zones: workload.zones,
+        checkpoint_every: workload.checkpoint_every,
+        fault_rate: rate,
         max_occurrence,
         kills_target,
         kills: 0,
@@ -232,10 +228,10 @@ pub fn crash_soak(argv: &[String]) -> Result<(), String> {
         }
         let seed_now = run_seed(seed, run_index);
         let point = crashpoint::pick(seed, cycle, max_occurrence);
-        let status = spawn_child(&exe, &workdir, seed_now, &params, Some(&point))?;
+        let status = spawn_child(&exe, &workdir, seed_now, parsed, Some(&point))?;
         report.spawns += 1;
 
-        let completed = run_complete(&workdir, params.ticks)
+        let completed = run_complete(&workdir, workload.ticks)
             .map_err(|e| format!("cannot inspect soak store: {e}"))?;
         if !status.success() {
             // The armed crashpoint fired: audit the half-written store
@@ -251,7 +247,7 @@ pub fn crash_soak(argv: &[String]) -> Result<(), String> {
                 &workdir,
                 &scratch,
                 seed_now,
-                &params,
+                parsed,
                 &mut ledger,
                 &mut report,
             )?;
@@ -263,17 +259,17 @@ pub fn crash_soak(argv: &[String]) -> Result<(), String> {
     // The kill target is met mid-run: drive the final, many-times-killed
     // run to completion in-process (no crashpoint armed in the parent)
     // and hold it to the same digest invariant.
-    if !run_complete(&workdir, params.ticks)
+    if !run_complete(&workdir, workload.ticks)
         .map_err(|e| format!("cannot inspect soak store: {e}"))?
     {
         let seed_now = run_seed(seed, run_index);
-        run_recoverable(&recovery_config(seed_now, &params), &workdir)
+        run_recoverable(&recovery_config(seed_now, parsed), &workdir)
             .map_err(|e| format!("final resume failed: {e}"))?;
         finish_run(
             &workdir,
             &scratch,
             seed_now,
-            &params,
+            parsed,
             &mut ledger,
             &mut report,
         )?;
@@ -302,21 +298,7 @@ pub fn crash_soak(argv: &[String]) -> Result<(), String> {
         if report.pass { "PASS" } else { "FAIL" }
     );
 
-    let out_path = match parsed.get("report") {
-        Some(p) => PathBuf::from(p),
-        None => {
-            let dir =
-                std::env::var("IMCF_OUT").unwrap_or_else(|_| String::from("target/experiments"));
-            PathBuf::from(dir).join("crash_soak.json")
-        }
-    };
-    if let Some(dir) = out_path.parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create `{}`: {e}", dir.display()))?;
-    }
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&out_path, json)
-        .map_err(|e| format!("cannot write report to `{}`: {e}", out_path.display()))?;
+    let out_path = crate::write_report(parsed.maybe_text("report"), "crash_soak.json", &report)?;
     println!("  report: {}", out_path.display());
 
     if report.pass {
@@ -330,26 +312,23 @@ pub fn crash_soak(argv: &[String]) -> Result<(), String> {
 }
 
 /// Spawns one child incarnation on `dir`, optionally with a crashpoint
-/// armed, and waits for it.
+/// armed, and waits for it. The child gets every [`WORKLOAD`] option as
+/// the parent read it, with the run's own seed.
 fn spawn_child(
     exe: &Path,
     dir: &Path,
     seed: u64,
-    params: &SoakParams,
+    parsed: &Parsed,
     point: Option<&Crashpoint>,
 ) -> Result<std::process::ExitStatus, String> {
-    let mut command = Command::new(exe);
+    let mut command = std::process::Command::new(exe);
+    command.arg("chaos-child");
+    for opt in WORKLOAD.iter().filter(|opt| opt.name != "seed") {
+        command.args([format!("--{}", opt.name), parsed.text(opt.name).to_string()]);
+    }
     command
-        .arg("chaos-child")
-        .args(["--dir".into(), dir.display().to_string()])
         .args(["--seed".into(), seed.to_string()])
-        .args(["--ticks".into(), params.ticks.to_string()])
-        .args(["--zones".into(), params.zones.to_string()])
-        .args([
-            "--checkpoint-every".into(),
-            params.checkpoint_every.to_string(),
-        ])
-        .args(["--rate".into(), params.rate.to_string()])
+        .args(["--dir".into(), dir.display().to_string()])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         // The parent's environment must not leak an armed crashpoint into
@@ -383,12 +362,12 @@ fn finish_run(
     dir: &Path,
     scratch: &Path,
     seed: u64,
-    params: &SoakParams,
+    parsed: &Parsed,
     ledger: &mut RunLedger,
     report: &mut CrashSoakReport,
 ) -> Result<(), String> {
     check_journal(dir, ledger, report)?;
-    let config = recovery_config(seed, params);
+    let config = recovery_config(seed, parsed);
     let recovered = digest_bytes(&digest_of_store(&config, dir)?)?;
     let reference = digest_bytes(&reference_digest(&config, scratch)?)?;
     if recovered != reference {
@@ -406,27 +385,10 @@ fn finish_run(
 /// crashpoint named by `IMCF_CRASHPOINT` (if any), then run (or resume)
 /// the recoverable workload on `--dir`. Prints the outcome JSON when it
 /// survives to the terminal checkpoint.
-pub fn crash_child(argv: &[String]) -> Result<(), String> {
-    let spec = ArgSpec {
-        options: &["dir", "seed", "ticks", "zones", "checkpoint-every", "rate"],
-        min_positional: 0,
-        max_positional: 0,
-    };
-    let parsed = spec.parse(argv)?;
-    let dir = PathBuf::from(
-        parsed
-            .get("dir")
-            .ok_or("chaos-child requires --dir <store directory>")?,
-    );
-    let seed = parsed.get_u64("seed", 1)?;
-    let params = SoakParams {
-        ticks: parsed.get_u64("ticks", 72)?.max(1),
-        zones: parsed.get_u64("zones", 2)?.max(1) as usize,
-        checkpoint_every: parsed.get_u64("checkpoint-every", 8)?,
-        rate: parsed.get_f64("rate", 0.2)?,
-    };
+pub fn crash_child(parsed: &Parsed) -> Result<(), String> {
     let armed = crashpoint::arm_from_env();
-    let outcome = run_recoverable(&recovery_config(seed, &params), &dir)
+    let config = recovery_config(parsed.get("seed"), parsed);
+    let outcome = run_recoverable(&config, Path::new(parsed.text("dir")))
         .map_err(|e| format!("recoverable run failed: {e}"))?;
     // Reaching this line means the armed occurrence was never hit (or no
     // crashpoint was armed): report the completed run.

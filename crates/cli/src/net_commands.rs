@@ -1,6 +1,7 @@
 //! The network-plane subcommands: `imcf serve` and `imcf loadgen`.
 
-use crate::args::ArgSpec;
+use crate::args::Kind::{Flag, Float, Int, Text};
+use crate::args::{opt, Command, Parsed, THREADS, U32};
 use imcf_controller::api::Router;
 use imcf_controller::controller::{ControllerConfig, LocalController};
 use imcf_controller::zone_names;
@@ -15,13 +16,31 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+pub const SERVE: Command = Command {
+    usage: "serve",
+    about: "serve the HTTP/1.1 network plane over a demo home (port 0 = ephemeral)",
+    options: &[&[
+        opt("port", Int(0, 65_535)).default("0"),
+        opt("zones", Int(1, u64::MAX)).default("2"),
+        opt("duration-secs", Int(0, u64::MAX)).default("0"),
+        opt("max-conns", Int(1, THREADS)).default("16"),
+        opt("read-timeout-ms", Int(1, u64::MAX)).default("5000"),
+        opt("write-timeout-ms", Int(1, u64::MAX)).default("5000"),
+        opt("max-requests-per-conn", Int(1, U32)).default("1000"),
+        opt("burst", Int(0, U32)).default("0"),
+        opt("refill-per-sec", Float(0.0, f64::INFINITY)).default("10"),
+        opt("tick-ms", Int(1, u64::MAX)).default("200"),
+        opt("demo-alert", Flag).default("false"),
+    ]],
+};
+
 /// `imcf serve` — run the HTTP/1.1 network plane over a demo home.
 ///
 /// Provisions a [`LocalController`] with `--zones` zones (HVAC + light
 /// each), fronts its REST router with the `imcf-net` threaded server, and
 /// serves until `--duration-secs` elapses (0 = until stdin reaches EOF or
 /// a line saying `quit`), then shuts down gracefully, draining in-flight
-/// requests.
+/// requests. A `--burst` of 0 leaves the edge without a rate limit.
 ///
 /// An in-process [`ObsEngine`] samples the global telemetry registry
 /// every `--tick-ms` milliseconds (one sampler tick each), which powers
@@ -29,45 +48,18 @@ use std::time::Duration;
 /// `--demo-alert true` bumps `breaker.open` each tick so the
 /// `breaker.open.storm` rule fires — used by the CI smoke run to assert
 /// the alerting path end to end.
-pub fn serve(argv: &[String]) -> Result<(), String> {
-    let spec = ArgSpec {
-        options: &[
-            "port",
-            "zones",
-            "duration-secs",
-            "max-conns",
-            "read-timeout-ms",
-            "write-timeout-ms",
-            "max-requests-per-conn",
-            "burst",
-            "refill-per-sec",
-            "tick-ms",
-            "demo-alert",
-        ],
-        min_positional: 0,
-        max_positional: 0,
-    };
-    let parsed = spec.parse(argv)?;
-    let port = parsed.get_u64("port", 0)?;
-    let zones = parsed.get_u64("zones", 2)?.max(1) as usize;
-    let duration_secs = parsed.get_u64("duration-secs", 0)?;
-    let max_conns = parsed.get_u64("max-conns", 16)?.max(1) as usize;
-    let read_timeout = Duration::from_millis(parsed.get_u64("read-timeout-ms", 5000)?.max(1));
-    let write_timeout = Duration::from_millis(parsed.get_u64("write-timeout-ms", 5000)?.max(1));
-    let max_requests_per_conn = parsed.get_u64("max-requests-per-conn", 1000)?.max(1) as u32;
-    let burst = parsed.get_u64("burst", 0)?;
-    let refill_per_sec = parsed.get_f64("refill-per-sec", 10.0)?;
-    // A negative rate drains the bucket by itself, so it is no rate.
-    if refill_per_sec < 0.0 {
-        return Err(format!(
-            "`--refill-per-sec` expects a non-negative rate, found `{refill_per_sec}`"
-        ));
-    }
-    let tick_ms = parsed.get_u64("tick-ms", 200)?.max(1);
-    let demo_alert = matches!(parsed.get("demo-alert"), Some("1") | Some("true"));
+pub fn serve(parsed: &Parsed) -> Result<(), String> {
+    let port: u16 = parsed.get("port");
+    let zones: usize = parsed.get("zones");
+    let duration_secs = parsed.get("duration-secs");
+    let max_conns: usize = parsed.get("max-conns");
+    let max_requests_per_conn: u32 = parsed.get("max-requests-per-conn");
+    let burst = parsed.get("burst");
+    let tick_ms = parsed.get("tick-ms");
+    let demo_alert = parsed.flag("demo-alert");
     let rate_limit = (burst > 0).then_some(RateLimit {
-        burst: burst.min(u64::from(u32::MAX)) as u32,
-        refill_per_sec,
+        burst,
+        refill_per_sec: parsed.get("refill-per-sec"),
     });
 
     let controller = LocalController::with_zones(
@@ -111,8 +103,8 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let config = NetConfig {
         addr: format!("127.0.0.1:{port}"),
         max_connections: max_conns,
-        read_timeout,
-        write_timeout,
+        read_timeout: Duration::from_millis(parsed.get("read-timeout-ms")),
+        write_timeout: Duration::from_millis(parsed.get("write-timeout-ms")),
         max_requests_per_conn,
         rate_limit,
         ..NetConfig::default()
@@ -163,43 +155,33 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `imcf loadgen` — drive a running `imcf serve` with a closed loop and
-/// report sustained RPS plus p50/p99/p999 latency.
-pub fn loadgen(argv: &[String]) -> Result<(), String> {
-    let spec = ArgSpec {
-        options: &[
-            "addr",
-            "connections",
-            "requests",
-            "mix",
-            "zone",
-            "timeout-ms",
-            "out",
-            "strict",
-        ],
-        min_positional: 0,
-        max_positional: 0,
-    };
-    let parsed = spec.parse(argv)?;
-    let addr = parsed
-        .get("addr")
-        .ok_or("--addr <host:port> is required (the address `imcf serve` printed)")?
-        .to_string();
-    let connections = parsed.get_u64("connections", 4)?.max(1) as usize;
-    let requests_per_conn = parsed.get_u64("requests", 100)?.max(1);
-    let mix_names = parsed
-        .get("mix")
-        .unwrap_or("items,item,post,firewall,metrics");
-    let zone = parsed.get("zone").unwrap_or("zone0");
-    let timeout = Duration::from_millis(parsed.get_u64("timeout-ms", 10_000)?.max(1));
-    let strict = matches!(parsed.get("strict"), Some("1") | Some("true"));
+pub const LOADGEN: Command = Command {
+    usage: "loadgen",
+    about: "closed-loop load run against `imcf serve`; reports RPS and p50/p99/p999 as JSON",
+    options: &[&[
+        opt("addr", Text("host:port")),
+        opt("connections", Int(1, THREADS)).default("4"),
+        opt("requests", Int(1, u64::MAX)).default("100"),
+        opt("mix", Text("route,...")).default("items,item,post,firewall,metrics"),
+        opt("zone", Text("zone")).default("zone0"),
+        opt("timeout-ms", Int(1, u64::MAX)).default("10000"),
+        opt("out", Text("path")).unset("loadgen.json in $IMCF_OUT or target/experiments"),
+        opt("strict", Flag).default("false"),
+    ]],
+};
 
+/// `imcf loadgen` — drive a running `imcf serve` with a closed loop and
+/// report sustained RPS plus p50/p99/p999 latency. `--strict true` fails
+/// the run on zero 2xx or any 5xx responses.
+pub fn loadgen(parsed: &Parsed) -> Result<(), String> {
+    let requests_per_conn = parsed.get("requests");
+    let mix_names = parsed.text("mix");
     let config = LoadConfig {
-        addr,
-        connections,
+        addr: parsed.text("addr").to_string(),
+        connections: parsed.get("connections"),
         requests_per_conn,
-        mix: loadgen::route_mix(mix_names, zone)?,
-        timeout,
+        mix: loadgen::route_mix(mix_names, parsed.text("zone"))?,
+        timeout: Duration::from_millis(parsed.get("timeout-ms")),
     };
     let report = loadgen::run(&config)?;
 
@@ -232,24 +214,11 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
         report.p50_micros, report.p99_micros, report.p999_micros, report.mean_micros
     );
 
-    let out_path = match parsed.get("out") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => {
-            let dir =
-                std::env::var("IMCF_OUT").unwrap_or_else(|_| String::from("target/experiments"));
-            std::path::PathBuf::from(dir).join("loadgen.json")
-        }
-    };
-    if let Some(dir) = out_path.parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create `{}`: {e}", dir.display()))?;
-    }
-    let json = serde_json::to_string_pretty(&report.to_json()).map_err(|e| e.to_string())?;
-    std::fs::write(&out_path, json)
-        .map_err(|e| format!("cannot write report to `{}`: {e}", out_path.display()))?;
+    let out_path =
+        crate::write_report(parsed.maybe_text("out"), "loadgen.json", &report.to_json())?;
     println!("  report: {}", out_path.display());
 
-    if strict {
+    if parsed.flag("strict") {
         if report.class("2xx") == 0 {
             return Err(String::from("strict check failed: zero 2xx responses"));
         }

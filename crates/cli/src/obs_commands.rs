@@ -2,7 +2,8 @@
 //! over `/rest/query` + `/rest/alerts`) and `imcf doctor` (a one-shot
 //! JSON debug bundle with CI-friendly assertions).
 
-use crate::args::ArgSpec;
+use crate::args::Kind::{Flag, Int, Text};
+use crate::args::{opt, Command, Parsed};
 use imcf_net::client::Connection;
 use serde_json::Value;
 use std::time::Duration;
@@ -42,6 +43,13 @@ fn get_json(conn: &mut Connection, target: &str) -> Result<Value, String> {
         .map_err(|e| format!("GET {target} returned invalid JSON: {e}"))
 }
 
+/// The series names a `/rest/query` listing holds.
+fn series_names(listing: &Value) -> Vec<String> {
+    let rows = listing.get("series").and_then(|v| v.as_array());
+    let names = rows.into_iter().flatten().filter_map(|v| v.as_str());
+    names.map(str::to_string).collect()
+}
+
 fn num(value: &Value) -> Option<f64> {
     match value {
         Value::Number(n) => Some(n.as_f64()),
@@ -73,15 +81,7 @@ fn render_frame(conn: &mut Connection, limit: usize) -> Result<String, String> {
 
     let tick = alerts.get("tick").and_then(num).unwrap_or(0.0) as u64;
     let firing = alerts.get("firing").and_then(num).unwrap_or(0.0) as u64;
-    let series_names: Vec<String> = listing
-        .get("series")
-        .and_then(|v| v.as_array())
-        .map(|rows| {
-            rows.iter()
-                .filter_map(|v| v.as_str().map(str::to_string))
-                .collect()
-        })
-        .unwrap_or_default();
+    let series_names = series_names(&listing);
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -144,34 +144,36 @@ fn render_frame(conn: &mut Connection, limit: usize) -> Result<String, String> {
     Ok(out)
 }
 
+/// A connection to the `imcf serve` at `--addr`, as `top` and `doctor`
+/// open it.
+fn connect(parsed: &Parsed) -> Result<Connection, String> {
+    let addr = parsed.text("addr");
+    let timeout = Duration::from_millis(parsed.get("timeout-ms"));
+    Connection::open(addr, timeout).map_err(|e| format!("cannot connect to {addr}: {e}"))
+}
+
+pub const TOP: Command = Command {
+    usage: "top",
+    about: "live dashboard of retained series and alerts; --iterations 0 runs until killed",
+    options: &[&[
+        opt("addr", Text("host:port")),
+        opt("refresh-ms", Int(50, u64::MAX)).default("1000"),
+        opt("iterations", Int(0, u64::MAX)).default("0"),
+        opt("limit", Int(1, u64::MAX)).default("16"),
+        opt("timeout-ms", Int(1, u64::MAX)).default("5000"),
+        opt("plain", Flag).default("false"),
+    ]],
+};
+
 /// `imcf top` — periodically redraw a dashboard of retained series and
 /// alert states from a running `imcf serve`.
-pub fn top(argv: &[String]) -> Result<(), String> {
-    let spec = ArgSpec {
-        options: &[
-            "addr",
-            "refresh-ms",
-            "iterations",
-            "limit",
-            "timeout-ms",
-            "plain",
-        ],
-        min_positional: 0,
-        max_positional: 0,
-    };
-    let parsed = spec.parse(argv)?;
-    let addr = parsed
-        .get("addr")
-        .ok_or("--addr <host:port> is required (the address `imcf serve` printed)")?
-        .to_string();
-    let refresh = Duration::from_millis(parsed.get_u64("refresh-ms", 1000)?.max(50));
-    let iterations = parsed.get_u64("iterations", 0)?;
-    let limit = parsed.get_u64("limit", 16)?.max(1) as usize;
-    let timeout = Duration::from_millis(parsed.get_u64("timeout-ms", 5000)?.max(1));
-    let plain = matches!(parsed.get("plain"), Some("1") | Some("true"));
+pub fn top(parsed: &Parsed) -> Result<(), String> {
+    let refresh = Duration::from_millis(parsed.get("refresh-ms"));
+    let iterations: u64 = parsed.get("iterations");
+    let limit = parsed.get("limit");
+    let plain = parsed.flag("plain");
 
-    let mut conn =
-        Connection::open(&addr, timeout).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let mut conn = connect(parsed)?;
     let mut frame_no: u64 = 0;
     loop {
         let frame = render_frame(&mut conn, limit)?;
@@ -189,30 +191,24 @@ pub fn top(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+pub const DOCTOR: Command = Command {
+    usage: "doctor",
+    about: "one-shot JSON bundle of health, metrics, series, alerts and traces",
+    options: &[&[
+        opt("addr", Text("host:port")),
+        opt("timeout-ms", Int(1, u64::MAX)).default("5000"),
+        opt("out", Text("path")).unset("doctor.json in $IMCF_OUT or target/experiments"),
+        opt("require-series", Text("a,b,...")).unset("no series is required"),
+        opt("require-alert", Text("name")).unset("no alert is required"),
+    ]],
+};
+
 /// `imcf doctor` — pull every observability surface from a running
 /// server into one JSON bundle, run health assertions, and write the
 /// bundle to disk for CI artifacts / offline debugging.
-pub fn doctor(argv: &[String]) -> Result<(), String> {
-    let spec = ArgSpec {
-        options: &[
-            "addr",
-            "timeout-ms",
-            "out",
-            "require-series",
-            "require-alert",
-        ],
-        min_positional: 0,
-        max_positional: 0,
-    };
-    let parsed = spec.parse(argv)?;
-    let addr = parsed
-        .get("addr")
-        .ok_or("--addr <host:port> is required (the address `imcf serve` printed)")?
-        .to_string();
-    let timeout = Duration::from_millis(parsed.get_u64("timeout-ms", 5000)?.max(1));
-
-    let mut conn =
-        Connection::open(&addr, timeout).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+pub fn doctor(parsed: &Parsed) -> Result<(), String> {
+    let addr = parsed.text("addr");
+    let mut conn = connect(parsed)?;
     let healthz = get_json(&mut conn, "/rest/healthz")?;
     let readyz = conn
         .round_trip("GET", "/rest/readyz", b"")
@@ -222,15 +218,7 @@ pub fn doctor(argv: &[String]) -> Result<(), String> {
     let alerts = get_json(&mut conn, "/rest/alerts")?;
     let traces = get_json(&mut conn, "/rest/traces")?;
 
-    let series_names: Vec<String> = listing
-        .get("series")
-        .and_then(|v| v.as_array())
-        .map(|rows| {
-            rows.iter()
-                .filter_map(|v| v.as_str().map(str::to_string))
-                .collect()
-        })
-        .unwrap_or_default();
+    let series_names = series_names(&listing);
 
     let bundle = Value::Object(vec![
         ("addr".to_string(), serde_json::to_value(&addr)),
@@ -245,21 +233,7 @@ pub fn doctor(argv: &[String]) -> Result<(), String> {
         ("traces".to_string(), traces),
     ]);
 
-    let out_path = match parsed.get("out") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => {
-            let dir =
-                std::env::var("IMCF_OUT").unwrap_or_else(|_| String::from("target/experiments"));
-            std::path::PathBuf::from(dir).join("doctor.json")
-        }
-    };
-    if let Some(dir) = out_path.parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create `{}`: {e}", dir.display()))?;
-    }
-    let json = serde_json::to_string_pretty(&bundle).map_err(|e| e.to_string())?;
-    std::fs::write(&out_path, json)
-        .map_err(|e| format!("cannot write bundle to `{}`: {e}", out_path.display()))?;
+    let out_path = crate::write_report(parsed.maybe_text("out"), "doctor.json", &bundle)?;
 
     let tick = alerts.get("tick").and_then(num).unwrap_or(0.0) as u64;
     let firing = alerts.get("firing").and_then(num).unwrap_or(0.0) as u64;
@@ -283,14 +257,14 @@ pub fn doctor(argv: &[String]) -> Result<(), String> {
     if healthz.get("status").and_then(|v| v.as_str()) != Some("ok") {
         failures.push(String::from("healthz did not report status=ok"));
     }
-    if let Some(required) = parsed.get("require-series") {
+    if let Some(required) = parsed.maybe_text("require-series") {
         for name in required.split(',').filter(|s| !s.is_empty()) {
             if !series_names.iter().any(|s| s == name) {
                 failures.push(format!("required series `{name}` is not retained"));
             }
         }
     }
-    if let Some(alert_name) = parsed.get("require-alert") {
+    if let Some(alert_name) = parsed.maybe_text("require-alert") {
         let firing_named = alerts
             .get("alerts")
             .and_then(|v| v.as_array())

@@ -148,23 +148,91 @@ fn plan_with_jobs_is_deterministic_across_worker_counts() {
 #[test]
 fn plan_rejects_zero_jobs() {
     let (_dir, path) = write_temp(MRT, "family.mrt");
-    let out = imcf()
-        .args(["plan", &path, "--days", "1", "--jobs", "0"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs must be at least 1"));
+    let args = ["plan", &path, "--days", "1", "--jobs", "0"];
+    assert_range_error(&args, "jobs", "in 1..=1024");
 }
 
 /// Runs `imcf <args>` and asserts a usage error (exit 1, not a panic's
 /// 101) naming `flag` and the values it takes.
 fn assert_range_error(args: &[&str], flag: &str, wanted: &str) {
+    assert_refused(args, &format!("`--{flag}` expects an integer {wanted}"));
+}
+
+/// Runs `imcf <args>` and asserts exit 1 with `message` on stderr.
+fn assert_refused(args: &[&str], message: &str) {
     let out = imcf().args(args).output().unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-    assert!(
-        stderr.contains(&format!("`--{flag}` expects an integer {wanted}")),
-        "{args:?}: {stderr}"
+    assert!(stderr.contains(message), "{args:?}: {stderr}");
+}
+
+#[test]
+fn every_command_help_exits_zero_and_lists_its_options() {
+    for (command, option) in [
+        ("validate", None),
+        ("plan", Some("--jobs")),
+        ("simulate", Some("--months")),
+        ("ecp", Some("--dataset")),
+        ("workflow", Some("--hour")),
+        ("schedule", Some("--horizon")),
+        ("chaos", Some("--outage-rate")),
+        ("chaos --crash", Some("--kills")),
+        ("chaos-child", Some("--dir")),
+        ("trace explain", Some("--input")),
+        ("serve", Some("--tick-ms")),
+        ("loadgen", Some("--strict")),
+        ("top", Some("--refresh-ms")),
+        ("doctor", Some("--require-alert")),
+    ] {
+        let out = imcf()
+            .args(command.split(' '))
+            .arg("--help")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{command}: {out:?}");
+        assert!(stdout.contains(&format!("imcf {command}")), "{stdout}");
+        if let Some(option) = option {
+            assert!(stdout.contains(option), "{command}: {stdout}");
+        }
+    }
+    let out = imcf().arg("--help").output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("--demo-alert"), "{stdout}");
+    assert!(stdout.contains("--telemetry"), "{stdout}");
+    assert!(!stdout.contains("chaos-child"), "{stdout}");
+}
+
+#[test]
+fn simulate_refuses_months_outside_1_to_36() {
+    for bad in ["0", "37"] {
+        let args = ["simulate", "--dataset", "flat", "--months", bad];
+        assert_range_error(&args, "months", "in 1..=36");
+    }
+}
+
+#[test]
+fn plan_refuses_a_tau_beyond_32_bits_before_reading_the_table() {
+    // At 2^32 the old `as u32` planned with τ_max = 0.
+    let args = ["plan", "/nonexistent/table.mrt", "--tau", "4294967296"];
+    assert_range_error(&args, "tau", "in 0..=4294967295, found `4294967296`");
+}
+
+#[test]
+fn chaos_refuses_a_negative_outage_rate() {
+    assert_refused(
+        &["chaos", "--outage-rate", "-1"],
+        "`--outage-rate` expects a finite number >= 0, found `-1`",
+    );
+}
+
+#[test]
+fn flags_take_only_true_false_1_or_0() {
+    // `--strict yes` used to read as false and drop the check silently.
+    let args = ["loadgen", "--addr", "127.0.0.1:9", "--strict", "yes"];
+    assert_refused(
+        &args,
+        "`--strict` expects one of true|false|1|0, found `yes`",
     );
 }
 
@@ -293,8 +361,9 @@ fn serve_rejects_a_refill_rate_that_is_not_finite_and_non_negative() {
             .unwrap();
         let stdout = String::from_utf8_lossy(&out.stdout);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "`{bad}` was accepted: {stdout}");
-        assert!(stderr.contains("--refill-per-sec"), "stderr: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "`{bad}`: {stdout}{stderr}");
+        let wanted = format!("`--refill-per-sec` expects a finite number >= 0, found `{bad}`");
+        assert!(stderr.contains(&wanted), "stderr: {stderr}");
         assert!(
             !stdout.contains("serving"),
             "bound before rejecting: {stdout}"

@@ -104,6 +104,25 @@ fn doctor_bundles_the_obs_surfaces_and_asserts_on_them() {
 }
 
 #[test]
+fn loadgen_drives_serve_and_writes_its_report() {
+    let (child, _reader, addr) = spawn_serve(&[]);
+    let dir = tempfile::tempdir().expect("tempdir");
+    let report = dir.path().join("loadgen.json");
+    let out = imcf()
+        .args(["loadgen", "--addr", &addr, "--connections", "1"])
+        .args(["--requests", "5", "--mix", "items", "--strict", "true"])
+        .args(["--out", report.to_str().expect("utf8 path")])
+        .output()
+        .expect("loadgen runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}{out:?}");
+    assert!(stdout.contains("1 conn × 5 req"), "stdout: {stdout}");
+    assert!(report.exists(), "report written");
+
+    shutdown(child);
+}
+
+#[test]
 fn top_renders_one_dashboard_frame() {
     let (child, _reader, addr) = spawn_serve(&[]);
     std::thread::sleep(std::time::Duration::from_millis(300));

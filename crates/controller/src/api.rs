@@ -27,9 +27,8 @@
 
 use crate::firewall::Chain;
 use imcf_chaos::{BreakerBank, BreakerSnapshot};
-use imcf_devices::channel::ChannelUid;
 use imcf_devices::command::{Command, CommandOutcome, CommandPayload};
-use imcf_devices::item::{ItemKind, ItemState};
+use imcf_devices::item::ItemKind;
 use imcf_devices::registry::DeviceRegistry;
 use imcf_obs::{ObsEngine, QueryError};
 use imcf_sim::meter::EnergyMeter;
@@ -132,8 +131,8 @@ impl Response {
 }
 
 /// The 2xx/3xx/4xx/5xx class of a status code — the label granularity the
-/// `api.requests` metric uses, so dashboards and the loadgen report
-/// aggregate the same way.
+/// `api.requests` and `net.requests` metrics use, so dashboards and the
+/// loadgen report aggregate the same way.
 pub fn status_class(status: u16) -> &'static str {
     match status {
         200..=299 => "2xx",
@@ -467,20 +466,6 @@ impl Router {
     }
 }
 
-/// Convenience: build an item state string the way openHAB prints it.
-pub fn render_state(state: &ItemState) -> String {
-    state.to_string()
-}
-
-/// Convenience: the channel a zone's HVAC item links to (mirrors the
-/// controller's provisioning convention).
-pub fn hvac_channel(zone: &str) -> ChannelUid {
-    ChannelUid::new(
-        imcf_devices::thing::ThingUid::new("imcf", "hvac", zone),
-        "settemp",
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -797,5 +782,6 @@ mod tests {
         assert_eq!(status_class(200), "2xx");
         assert_eq!(status_class(409), "4xx");
         assert_eq!(status_class(500), "5xx");
+        assert_eq!(status_class(100), "other");
     }
 }

@@ -8,7 +8,7 @@
 //! equivalent `iptables` command line so operators can audit the state.
 
 use imcf_devices::command::Command;
-use imcf_devices::thing::Thing;
+use imcf_devices::thing::{Thing, ThingKind};
 use imcf_rules::action::DeviceClass;
 use imcf_telemetry::Counter;
 use serde::{Deserialize, Serialize};
@@ -50,21 +50,19 @@ impl Match {
             Match::Any => true,
             Match::Host(h) => thing.host == *h,
             Match::HostPrefix(p) => thing.host.starts_with(p),
-            Match::Class(c) => match thing.kind {
-                imcf_devices::thing::ThingKind::HvacUnit => *c == DeviceClass::Hvac,
-                imcf_devices::thing::ThingKind::DimmableLight => *c == DeviceClass::Light,
-                _ => false,
-            },
+            Match::Class(c) => device_class(thing) == Some(*c),
             Match::Zone(z) => thing.zone == *z,
-            Match::ZoneClass(z, c) => {
-                thing.zone == *z
-                    && match thing.kind {
-                        imcf_devices::thing::ThingKind::HvacUnit => *c == DeviceClass::Hvac,
-                        imcf_devices::thing::ThingKind::DimmableLight => *c == DeviceClass::Light,
-                        _ => false,
-                    }
-            }
+            Match::ZoneClass(z, c) => thing.zone == *z && device_class(thing) == Some(*c),
         }
+    }
+}
+
+/// The device class a thing's kind belongs to, if the firewall classes it.
+fn device_class(thing: &Thing) -> Option<DeviceClass> {
+    match thing.kind {
+        ThingKind::HvacUnit => Some(DeviceClass::Hvac),
+        ThingKind::DimmableLight => Some(DeviceClass::Light),
+        _ => None,
     }
 }
 

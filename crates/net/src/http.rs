@@ -298,18 +298,6 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// The 2xx/3xx/4xx/5xx class label of a status, the granularity the
-/// `net.requests` and `api.requests` metrics use.
-pub fn status_class(status: u16) -> &'static str {
-    match status {
-        200..=299 => "2xx",
-        300..=399 => "3xx",
-        400..=499 => "4xx",
-        500..=599 => "5xx",
-        _ => "other",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,14 +409,5 @@ mod tests {
             ParseError::Truncated
         );
         assert_eq!(parse(b"GET /part").unwrap_err().status(), None);
-    }
-
-    #[test]
-    fn status_classes() {
-        assert_eq!(status_class(200), "2xx");
-        assert_eq!(status_class(301), "3xx");
-        assert_eq!(status_class(429), "4xx");
-        assert_eq!(status_class(503), "5xx");
-        assert_eq!(status_class(100), "other");
     }
 }

@@ -268,7 +268,7 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, String> {
     let mut by_class: BTreeMap<&'static str, u64> = BTreeMap::new();
     for (status, count) in &by_status {
         *by_class
-            .entry(crate::http::status_class(*status))
+            .entry(imcf_controller::api::status_class(*status))
             .or_insert(0) += count;
     }
 

@@ -32,7 +32,7 @@
 
 use crate::http::{self, Limits, ParseError, Request};
 use crate::limiter::{Admission, EdgeLimiter, RateLimit};
-use imcf_controller::api::{Response, Router, JSON_CONTENT_TYPE};
+use imcf_controller::api::{status_class, Response, Router, JSON_CONTENT_TYPE};
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -199,7 +199,7 @@ fn reject_saturated(mut stream: TcpStream, shared: &Shared) {
         true,
     );
     imcf_telemetry::global()
-        .counter_with("net.requests", &[("status", http::status_class(503))])
+        .counter_with("net.requests", &[("status", status_class(503))])
         .inc();
 }
 
@@ -259,10 +259,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                     || served >= shared.config.max_requests_per_conn
                     || shared.shutdown.load(Ordering::SeqCst);
                 telemetry
-                    .counter_with(
-                        "net.requests",
-                        &[("status", http::status_class(response.status))],
-                    )
+                    .counter_with("net.requests", &[("status", status_class(response.status))])
                     .inc();
                 let written = write_wire(
                     &mut writer,
@@ -302,7 +299,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                 if let Some(status) = error.status() {
                     let body = format!(r#"{{"error":"{}"}}"#, http::reason_phrase(status));
                     telemetry
-                        .counter_with("net.requests", &[("status", http::status_class(status))])
+                        .counter_with("net.requests", &[("status", status_class(status))])
                         .inc();
                     let _ = write_wire(
                         &mut writer,

@@ -12,8 +12,10 @@
 //! * [`generator`] — the climate-driven synthesizer (seasonal + diurnal +
 //!   AR(1) noise), deterministic under a seed;
 //! * [`csvio`] — CSV persistence of raw readings;
-//! * [`replicate`] — the paper's dataset-scaling transforms (×4 house,
-//!   50-apartment dorms);
+//! * [`replicate`] — the paper's dataset-scaling idea as a transform
+//!   (shifted, offset and scaled replica zones of one source zone). The
+//!   datasets do not use it: `imcf_sim`'s `Dataset::build` synthesizes
+//!   every zone of the flat, house and dorms with [`TraceGenerator`];
 //! * [`outage`] — seeded sensor-outage injection for robustness testing;
 //! * [`stats`] — summary statistics over traces;
 //! * [`ecp`] — deriving an Energy Consumption Profile from a trace.

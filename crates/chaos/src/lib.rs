@@ -6,9 +6,11 @@
 //! resilience primitives that let the Local Controller survive them.
 //!
 //! * [`FaultPlan`] — a seeded, serde round-trippable schedule of injected
-//!   faults: device-command faults (drop / delay / stuck actuator), store
-//!   faults (WAL write/fsync errors, torn tail on reopen) and bus faults
-//!   (stalled subscriber windows). Every decision is a pure function of
+//!   faults, set by four knobs: the seed, a device-command fault rate
+//!   (drop / delay / stuck actuator), one store-fault rate (every WAL
+//!   operation, and a torn tail on reopen at a quarter of it) and a
+//!   bus-stall rate (stalled subscriber windows, which fire only when a
+//!   plan sets it). Every decision is a pure function of
 //!   `(seed, coordinates)`: a ChaCha8 stream is derived per query, so the
 //!   answer does not depend on query order, thread interleaving or worker
 //!   count — the same determinism contract as `imcf-pool`.
@@ -19,9 +21,13 @@
 //! * [`crashpoint`] — named kill-the-process sites with seeded selection,
 //!   the substrate of the crash-recovery soak (`imcf chaos --crash`).
 //!
-//! Fault *decisions* live here; fault *wiring* lives at the injection
-//! points (`DeviceRegistry::set_fault_injector`, `Wal::set_fault_hook`) so
-//! that `imcf-devices` and `imcf-store` stay free of chaos types.
+//! Fault *decisions* live here, and so does the one store-fault hook:
+//! [`FaultPlan::wal_fault_hook`] maps each `imcf_store::WalOp` to its
+//! fault and is what every store-fault site installs on its log. The
+//! injection points themselves (`DeviceRegistry::set_fault_injector`,
+//! `Log::set_wal_fault_hook`) take plain closures, so `imcf-devices` and
+//! `imcf-store` stay free of chaos types; this crate depends on
+//! `imcf-store`, never the other way round.
 //!
 //! Telemetry: injections are counted under `chaos.faults_injected` (by
 //! `kind` label) and breaker open transitions under `breaker.open`, both
@@ -34,7 +40,7 @@ mod retry;
 
 pub use breaker::{BreakerBank, BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
 pub use crashpoint::Crashpoint;
-pub use plan::{CommandFault, FaultPlan, StoreFault, StoreOp};
+pub use plan::{CommandFault, FaultPlan, StoreFault};
 pub use retry::RetryPolicy;
 
 use imcf_telemetry::Counter;

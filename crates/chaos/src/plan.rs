@@ -11,10 +11,13 @@
 //! * serializing and deserializing the plan preserves every future
 //!   decision exactly (the struct is plain data).
 
+use imcf_store::WalOp;
 use imcf_telemetry::trace::splitmix64;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fault injected on one device command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,21 +47,6 @@ impl CommandFault {
             CommandFault::Stuck { .. } => "cmd_stuck",
         }
     }
-}
-
-/// Which WAL operation a store fault hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StoreOp {
-    /// A record append.
-    Append,
-    /// An fsync durability point.
-    Sync,
-    /// Sealing the active segment and rolling to the next.
-    Seal,
-    /// Snapshot-rewrite compaction of the whole table.
-    Compact,
-    /// Truncating the log (post-snapshot, or corrupt-record excision).
-    Truncate,
 }
 
 /// A fault injected on one store operation.
@@ -96,6 +84,11 @@ const DOMAIN_STORE: u64 = 0x00C0_FFEE_0002;
 const DOMAIN_TORN: u64 = 0x00C0_FFEE_0003;
 const DOMAIN_BUS: u64 = 0x00C0_FFEE_0004;
 
+/// Upper bound on [`CommandFault::Delay`] recovery, ticks.
+const DELAY_MAX_TICKS: u64 = 2;
+/// How long a [`CommandFault::Stuck`] actuator stays wedged, ticks.
+const STUCK_TICKS: u64 = 3;
+
 /// A deterministic, seeded fault schedule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -103,23 +96,10 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability that any one device command draws a fault.
     pub command_rate: f64,
-    /// Upper bound on [`CommandFault::Delay`] recovery, ticks (≥ 1 when
-    /// delays are possible).
-    pub delay_max_ticks: u64,
-    /// How long a [`CommandFault::Stuck`] actuator stays wedged, ticks.
-    pub stuck_ticks: u64,
-    /// Probability that a WAL append fails.
-    pub store_write_rate: f64,
-    /// Probability that a WAL fsync fails.
-    pub store_sync_rate: f64,
-    /// Probability that a segment seal fails.
-    pub store_seal_rate: f64,
-    /// Probability that a compaction fails before writing anything.
-    pub store_compact_rate: f64,
-    /// Probability that a log truncation fails.
-    pub store_truncate_rate: f64,
-    /// Probability that a store reopen finds a torn tail.
-    pub torn_tail_rate: f64,
+    /// Probability that any one WAL operation (append, fsync, seal,
+    /// compaction, truncation) fails; a store reopen finds a torn tail at
+    /// a quarter of it.
+    pub store_rate: f64,
     /// Probability that a bus subscriber stalls (stops draining) for a
     /// given tick.
     pub bus_stall_rate: f64,
@@ -131,20 +111,13 @@ impl FaultPlan {
         FaultPlan {
             seed,
             command_rate: 0.0,
-            delay_max_ticks: 2,
-            stuck_ticks: 3,
-            store_write_rate: 0.0,
-            store_sync_rate: 0.0,
-            store_seal_rate: 0.0,
-            store_compact_rate: 0.0,
-            store_truncate_rate: 0.0,
-            torn_tail_rate: 0.0,
+            store_rate: 0.0,
             bus_stall_rate: 0.0,
         }
     }
 
-    /// A plan injecting command faults at `rate` with default delay/stuck
-    /// shapes (delay ≤ 2 ticks, stuck for 3).
+    /// A plan injecting command faults at `rate` (a delay lasts at most 2
+    /// ticks, a wedged actuator 3).
     pub fn commands(seed: u64, rate: f64) -> Self {
         FaultPlan {
             command_rate: rate.clamp(0.0, 1.0),
@@ -152,16 +125,10 @@ impl FaultPlan {
         }
     }
 
-    /// Adds store faults (write + fsync + seal + compact + truncate at
-    /// `rate`, torn tail at `rate/4`).
+    /// Adds store faults (every WAL operation at `rate`, torn tail at
+    /// `rate/4`).
     pub fn with_store_faults(mut self, rate: f64) -> Self {
-        let rate = rate.clamp(0.0, 1.0);
-        self.store_write_rate = rate;
-        self.store_sync_rate = rate;
-        self.store_seal_rate = rate;
-        self.store_compact_rate = rate;
-        self.store_truncate_rate = rate;
-        self.torn_tail_rate = rate / 4.0;
+        self.store_rate = rate.clamp(0.0, 1.0);
         self
     }
 
@@ -173,14 +140,7 @@ impl FaultPlan {
 
     /// True when no fault family has a positive rate.
     pub fn is_disabled(&self) -> bool {
-        self.command_rate <= 0.0
-            && self.store_write_rate <= 0.0
-            && self.store_sync_rate <= 0.0
-            && self.store_seal_rate <= 0.0
-            && self.store_compact_rate <= 0.0
-            && self.store_truncate_rate <= 0.0
-            && self.torn_tail_rate <= 0.0
-            && self.bus_stall_rate <= 0.0
+        self.command_rate <= 0.0 && self.store_rate <= 0.0 && self.bus_stall_rate <= 0.0
     }
 
     /// The ChaCha8 stream for one decision coordinate.
@@ -210,11 +170,9 @@ impl FaultPlan {
         Some(match kind {
             0 | 1 => CommandFault::Drop,
             2 => CommandFault::Delay {
-                ticks: rng.gen_range(1..=self.delay_max_ticks.max(1)),
+                ticks: rng.gen_range(1..=DELAY_MAX_TICKS),
             },
-            _ => CommandFault::Stuck {
-                ticks: self.stuck_ticks.max(1),
-            },
+            _ => CommandFault::Stuck { ticks: STUCK_TICKS },
         })
     }
 
@@ -222,9 +180,9 @@ impl FaultPlan {
     /// including *stuck windows*: a [`CommandFault::Stuck`] drawn at an
     /// earlier tick wedges the actuator for its whole duration, failing
     /// every command in the window. Pure in `(self, tick, target)` — the
-    /// scan looks back at most `stuck_ticks` draws.
+    /// scan looks back at most as many draws as a wedge lasts.
     pub fn fault_reason(&self, tick: u64, target: &str) -> Option<&'static str> {
-        for back in 1..=self.stuck_ticks {
+        for back in 1..=STUCK_TICKS {
             if back > tick {
                 break;
             }
@@ -237,33 +195,51 @@ impl FaultPlan {
         self.command_fault(tick, target).map(|f| f.kind())
     }
 
-    /// The fault (if any) hitting the `op_index`-th WAL operation.
-    ///
-    /// `op_index` is a per-log monotonic counter maintained by whoever
-    /// installs the hook; pure in `(self, op, op_index)`.
-    pub fn store_fault(&self, op: StoreOp, op_index: u64) -> Option<StoreFault> {
-        let (rate, fault, salt) = match op {
-            StoreOp::Append => (self.store_write_rate, StoreFault::WriteError, 0),
-            StoreOp::Sync => (self.store_sync_rate, StoreFault::SyncError, 1),
-            StoreOp::Seal => (self.store_seal_rate, StoreFault::SealError, 2),
-            StoreOp::Compact => (self.store_compact_rate, StoreFault::CompactError, 3),
-            StoreOp::Truncate => (self.store_truncate_rate, StoreFault::TruncateError, 4),
-        };
-        if rate <= 0.0 {
+    /// The fault (if any) hitting the `op_index`-th WAL operation of a
+    /// log. Pure in `(self, op, op_index)`; each operation kind draws from
+    /// its own salted stream.
+    pub fn store_fault(&self, op: WalOp, op_index: u64) -> Option<StoreFault> {
+        if self.store_rate <= 0.0 {
             return None;
         }
+        let (fault, salt) = match op {
+            WalOp::Append => (StoreFault::WriteError, 0),
+            WalOp::Sync => (StoreFault::SyncError, 1),
+            WalOp::Seal => (StoreFault::SealError, 2),
+            WalOp::Compact => (StoreFault::CompactError, 3),
+            WalOp::Truncate => (StoreFault::TruncateError, 4),
+        };
         let mut rng = self.stream(DOMAIN_STORE, op_index, salt);
-        rng.gen_bool(rate.clamp(0.0, 1.0)).then_some(fault)
+        rng.gen_bool(self.store_rate.clamp(0.0, 1.0))
+            .then_some(fault)
+    }
+
+    /// The WAL fault hook that injects this plan's store faults into one
+    /// log (install it with `Log::set_wal_fault_hook` or a table's): the
+    /// hook numbers the operations it is consulted about and fails the
+    /// `i`-th when [`store_fault`](Self::store_fault) draws a fault for
+    /// it, counting each injection under `chaos.faults_injected`.
+    pub fn wal_fault_hook(&self) -> impl Fn(WalOp) -> Option<io::Error> + Send + Sync + 'static {
+        let plan = self.clone();
+        let op_index = AtomicU64::new(0);
+        move |op| {
+            let i = op_index.fetch_add(1, Ordering::SeqCst);
+            plan.store_fault(op, i).map(|fault| {
+                crate::record_injection(fault.kind());
+                io::Error::other(fault.kind())
+            })
+        }
     }
 
     /// Bytes to chop off the WAL tail at the `reopen_index`-th reopen (the
-    /// crash-mid-write simulation), or `None` for a clean reopen.
+    /// crash-mid-write simulation), or `None` for a clean reopen. A reopen
+    /// tears at a quarter of the store-fault rate.
     pub fn torn_tail_bytes(&self, reopen_index: u64) -> Option<u64> {
-        if self.torn_tail_rate <= 0.0 {
+        if self.store_rate <= 0.0 {
             return None;
         }
         let mut rng = self.stream(DOMAIN_TORN, reopen_index, 0);
-        rng.gen_bool(self.torn_tail_rate.clamp(0.0, 1.0))
+        rng.gen_bool((self.store_rate / 4.0).clamp(0.0, 1.0))
             .then(|| rng.gen_range(1..=6u64))
     }
 
@@ -290,6 +266,14 @@ fn fnv1a(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const WAL_OPS: [WalOp; 5] = [
+        WalOp::Append,
+        WalOp::Sync,
+        WalOp::Seal,
+        WalOp::Compact,
+        WalOp::Truncate,
+    ];
 
     fn plan(rate: f64) -> FaultPlan {
         FaultPlan::commands(7, rate).with_store_faults(rate)
@@ -335,11 +319,9 @@ mod tests {
         assert!(p.is_disabled());
         for t in 0..500 {
             assert_eq!(p.command_fault(t, "x"), None);
-            assert_eq!(p.store_fault(StoreOp::Append, t), None);
-            assert_eq!(p.store_fault(StoreOp::Sync, t), None);
-            assert_eq!(p.store_fault(StoreOp::Seal, t), None);
-            assert_eq!(p.store_fault(StoreOp::Compact, t), None);
-            assert_eq!(p.store_fault(StoreOp::Truncate, t), None);
+            for op in WAL_OPS {
+                assert_eq!(p.store_fault(op, t), None);
+            }
             assert_eq!(p.torn_tail_bytes(t), None);
             assert!(!p.bus_stalled(t));
         }
@@ -367,23 +349,18 @@ mod tests {
     }
 
     #[test]
-    fn fault_shapes_respect_configuration() {
-        let p = FaultPlan {
-            command_rate: 1.0,
-            delay_max_ticks: 4,
-            stuck_ticks: 7,
-            ..FaultPlan::disabled(11)
-        };
+    fn fault_shapes_are_bounded() {
+        let p = FaultPlan::commands(11, 1.0);
         let mut saw = [false; 3];
         for t in 0..200 {
             match p.command_fault(t, "h") {
                 Some(CommandFault::Drop) => saw[0] = true,
                 Some(CommandFault::Delay { ticks }) => {
-                    assert!((1..=4).contains(&ticks));
+                    assert!((1..=2).contains(&ticks));
                     saw[1] = true;
                 }
                 Some(CommandFault::Stuck { ticks }) => {
-                    assert_eq!(ticks, 7);
+                    assert_eq!(ticks, 3);
                     saw[2] = true;
                 }
                 None => panic!("rate 1.0 must always fault"),
@@ -395,21 +372,18 @@ mod tests {
     #[test]
     fn store_and_torn_faults_fire_at_full_rate() {
         let p = FaultPlan::disabled(0).with_store_faults(1.0);
+        let faults = WAL_OPS.map(|op| p.store_fault(op, 0));
         assert_eq!(
-            p.store_fault(StoreOp::Append, 0),
-            Some(StoreFault::WriteError)
+            faults,
+            [
+                StoreFault::WriteError,
+                StoreFault::SyncError,
+                StoreFault::SealError,
+                StoreFault::CompactError,
+                StoreFault::TruncateError,
+            ]
+            .map(Some)
         );
-        assert_eq!(p.store_fault(StoreOp::Sync, 0), Some(StoreFault::SyncError));
-        assert_eq!(p.store_fault(StoreOp::Seal, 0), Some(StoreFault::SealError));
-        assert_eq!(
-            p.store_fault(StoreOp::Compact, 0),
-            Some(StoreFault::CompactError)
-        );
-        assert_eq!(
-            p.store_fault(StoreOp::Truncate, 0),
-            Some(StoreFault::TruncateError)
-        );
-        assert_eq!(p.torn_tail_rate, 0.25);
         let n = (0..400).filter(|i| p.torn_tail_bytes(*i).is_some()).count();
         assert!((50..=150).contains(&n), "torn on {n}/400 reopens");
         for i in 0..400 {
@@ -417,6 +391,19 @@ mod tests {
                 assert!((1..=6).contains(&bytes));
             }
         }
+    }
+
+    #[test]
+    fn the_wal_hook_fails_exactly_the_operations_store_fault_draws() {
+        let p = FaultPlan::disabled(5).with_store_faults(0.4);
+        let hook = p.wal_fault_hook();
+        for i in 0..200u64 {
+            let op = WAL_OPS[(i % 5) as usize];
+            let expected = p.store_fault(op, i).map(|fault| fault.kind().to_string());
+            assert_eq!(hook(op).map(|e| e.to_string()), expected, "op {i}");
+        }
+        let quiet = FaultPlan::commands(5, 1.0).wal_fault_hook();
+        assert!(WAL_OPS.into_iter().all(|op| quiet(op).is_none()));
     }
 
     #[test]

@@ -169,7 +169,8 @@ pub fn plan(parsed: &Parsed) -> Result<(), String> {
         None => planner.plan(slots),
     };
     println!(
-        "planned {days} day(s) under a {budget_share:.1} kWh share of the {budget:.0} kWh budget"
+        "planned {horizon} hour(s) ({:.1} day(s)) under a {budget_share:.1} kWh share of the {budget:.0} kWh budget",
+        horizon as f64 / 24.0
     );
     println!("  F_CE : {:.2} %", report.fce_percent());
     println!("  F_E  : {:.1} kWh", report.fe_kwh());
@@ -578,7 +579,7 @@ pub const CHAOS: Command = Command {
         opt("seed", Int(0, u64::MAX)).default("0"),
         opt("zones", Int(1, u64::MAX)).default("2"),
         opt("outage-rate", Float(0.0, f64::INFINITY)).default("0"),
-        opt("journal", Text("dir")).unset("the journal is not kept"),
+        opt("journal", Text("dir")).unset("the command journal is not kept"),
         opt("trace", Text("path")).unset("no causal traces are recorded"),
     ]],
 };
@@ -586,9 +587,12 @@ pub const CHAOS: Command = Command {
 /// `imcf chaos` — run a deterministic fault-injection soak and print the
 /// outcome as JSON. The same engine backs the `chaos_soak` bench; this
 /// entry point runs a single cell so operators can probe survivability
-/// at a chosen fault rate (and optionally keep the journal on disk to
-/// inspect the torn-tail recovery path). `imcf chaos --crash` is the
-/// kill-at-crashpoint soak instead (see `crash_commands`).
+/// at a chosen fault rate (and optionally keep the command journal in a
+/// fresh directory to inspect the torn-tail recovery path). The outcome
+/// is printed either way; the command fails when it carries an error,
+/// such as a journal directory that cannot be opened or already holds a
+/// journal. `imcf chaos --crash` is the kill-at-crashpoint soak instead
+/// (see `crash_commands`).
 pub fn chaos(parsed: &Parsed) -> Result<(), String> {
     let rate: f64 = parsed.get("rate");
     let seed = parsed.get("seed");
@@ -628,7 +632,7 @@ pub fn chaos(parsed: &Parsed) -> Result<(), String> {
             path.display()
         );
     }
-    Ok(())
+    outcome.error.map_or(Ok(()), Err)
 }
 
 /// One parsed Chrome-trace event, borrowed from the JSON document.
@@ -868,9 +872,11 @@ mod chaos_tests {
             path.to_str().unwrap(),
         ])
         .unwrap();
-        let has_segment = imcf_store::segment::segment_files(&path, "soak_journal")
-            .map(|files| !files.is_empty())
-            .unwrap_or(false);
-        assert!(path.join("soak_journal.snap").exists() || has_segment);
+        let segments = imcf_store::segment::segment_files(&path, "command_journal").unwrap();
+        assert!(!segments.is_empty());
+        let audit = imcf_controller::audit_journal(&path).unwrap();
+        assert!(audit.rows > 0, "{audit:?}");
+        assert!(!audit.delivered_ids.is_empty(), "{audit:?}");
+        assert_eq!(audit.duplicate_deliveries, 0, "{audit:?}");
     }
 }

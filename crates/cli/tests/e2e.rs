@@ -1,5 +1,6 @@
 //! End-to-end tests driving the compiled `imcf` binary.
 
+use imcf_controller::SoakOutcome;
 use std::io::Write;
 use std::process::{Command, Stdio};
 
@@ -85,6 +86,21 @@ fn plan_a_short_horizon() {
     assert!(text.contains("F_CE"));
     assert!(text.contains("father"));
     assert!(text.contains("mother"));
+}
+
+#[test]
+fn plan_reports_the_horizon_it_planned() {
+    // The table's budget row covers one week, which caps `--days 30`: the
+    // report names the week it planned, not the days asked for.
+    let table = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets/family.mrt");
+    let out = imcf()
+        .args(["plan", table, "--days", "30"])
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{text}");
+    assert!(text.contains("planned 168 hour(s) (7.0 day(s))"), "{text}");
+    assert!(text.contains("rules: 280 instances"), "{text}");
 }
 
 #[test]
@@ -223,6 +239,50 @@ fn chaos_refuses_a_negative_outage_rate() {
     assert_refused(
         &["chaos", "--outage-rate", "-1"],
         "`--outage-rate` expects a finite number >= 0, found `-1`",
+    );
+}
+
+/// Runs `imcf chaos` into `journal` and returns its exit code, the
+/// outcome it printed and its stderr.
+fn chaos_into(journal: &std::path::Path) -> (Option<i32>, SoakOutcome, String) {
+    let out = imcf()
+        .args(["chaos", "--ticks", "12", "--zones", "1", "--journal"])
+        .arg(journal)
+        .output()
+        .unwrap();
+    let outcome = serde_json::from_slice(&out.stdout).expect("the outcome is printed as JSON");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), outcome, stderr)
+}
+
+#[test]
+fn chaos_exits_1_when_its_journal_cannot_open() {
+    let dir = tempfile::tempdir().unwrap();
+    let file = dir.path().join("occupied");
+    std::fs::write(&file, b"not a directory").unwrap();
+    let (code, outcome, stderr) = chaos_into(&file.join("journal"));
+    assert_eq!(code, Some(1), "{outcome:?}");
+    assert_eq!(outcome.ticks, 0, "{outcome:?}");
+    let error = outcome.error.unwrap_or_default();
+    assert!(error.contains("cannot open the command journal"), "{error}");
+    assert!(stderr.contains(&error), "{stderr}");
+}
+
+#[test]
+fn chaos_refuses_a_directory_that_already_holds_a_journal() {
+    let dir = tempfile::tempdir().unwrap();
+    let journal = dir.path().join("journal");
+    let (code, first, _) = chaos_into(&journal);
+    assert_eq!(code, Some(0), "{first:?}");
+    assert_eq!(first.error, None, "{first:?}");
+    assert!(first.journal_rows > 0, "{first:?}");
+
+    let (code, again, stderr) = chaos_into(&journal);
+    assert_eq!(code, Some(1), "{again:?}");
+    assert_eq!(again.ticks, 0, "{again:?}");
+    assert!(
+        stderr.contains("already holds a command journal"),
+        "{stderr}"
     );
 }
 

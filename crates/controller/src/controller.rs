@@ -388,11 +388,6 @@ impl LocalController {
         self.journal = Some(journal);
     }
 
-    /// Detaches and returns the command journal, if any.
-    pub fn detach_journal(&mut self) -> Option<CommandJournal> {
-        self.journal.take()
-    }
-
     /// The attached command journal, if any.
     pub fn journal(&self) -> Option<&CommandJournal> {
         self.journal.as_ref()
@@ -1128,26 +1123,16 @@ mod tests {
 
     #[test]
     fn journal_surfaces_wal_faults_as_storage_errors() {
-        use imcf_chaos::{FaultPlan, StoreOp};
-        use std::sync::atomic::{AtomicU64, Ordering};
+        use imcf_chaos::FaultPlan;
 
         let dir = tempfile::tempdir().unwrap();
         let mut table: imcf_store::Table<TickSummary> =
             imcf_store::Table::open(dir.path(), "journal").unwrap();
-        let plan = FaultPlan::disabled(1).with_store_faults(1.0);
-        let op_index = Arc::new(AtomicU64::new(0));
-        table.set_wal_fault_hook(move |op| {
-            let i = op_index.fetch_add(1, Ordering::SeqCst);
-            let op = match op {
-                imcf_store::WalOp::Append => StoreOp::Append,
-                imcf_store::WalOp::Sync => StoreOp::Sync,
-                imcf_store::WalOp::Seal => StoreOp::Seal,
-                imcf_store::WalOp::Compact => StoreOp::Compact,
-                imcf_store::WalOp::Truncate => StoreOp::Truncate,
-            };
-            plan.store_fault(op, i)
-                .map(|f| std::io::Error::other(f.kind()))
-        });
+        table.set_wal_fault_hook(
+            FaultPlan::disabled(1)
+                .with_store_faults(1.0)
+                .wal_fault_hook(),
+        );
         let summary = TickSummary {
             hour_index: 0,
             adopted: vec![],

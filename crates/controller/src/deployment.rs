@@ -3,15 +3,15 @@
 //! The paper's Local Controller runs a single loop (Fig. 3): cron fires
 //! the EP, the plan becomes firewall rules, and the adopted rules actuate.
 //! A [`Deployment`] is that loop over a slot source, plus the attachments
-//! a run opts into: a chaos plan with its stalling bus subscriber, the
-//! soak's tick journal, checkpoints under the stuck-tick watchdog, and the
-//! obs sampler. Each run accumulates a [`SoakOutcome`]; the soak, the
-//! recoverable run and the prototype week are projections of it.
+//! a run opts into: a chaos plan with its stalling bus subscriber,
+//! checkpoints under the stuck-tick watchdog, and the obs sampler. The
+//! command journal is the controller's own attachment
+//! ([`LocalController::attach_journal`]). Each run accumulates a
+//! [`SoakOutcome`]; the soak, the recoverable run and the prototype week
+//! are projections of it.
 
 use crate::bus::Event;
-use crate::controller::{
-    thing_uid, ControllerCheckpoint, ControllerError, LocalController, TickSummary,
-};
+use crate::controller::{thing_uid, ControllerCheckpoint, ControllerError, LocalController};
 use crate::soak::SoakOutcome;
 use crate::supervisor::TickWatchdog;
 use crossbeam::channel::Receiver;
@@ -28,7 +28,6 @@ use imcf_sim::illuminance::RoomLight;
 use imcf_sim::thermal::RoomThermalModel;
 use imcf_sim::weather::WeatherApi;
 use imcf_store::commit::SharedTable;
-use imcf_store::Log;
 use imcf_telemetry::{Counter, Gauge, Registry};
 use imcf_traces::outage::OutagePlan;
 use std::collections::BTreeSet;
@@ -149,7 +148,6 @@ pub struct Deployment {
     pub controller: LocalController,
     /// The fault plan and the bus subscriber it stalls.
     chaos: Option<(FaultPlan, Receiver<Event>)>,
-    journal: Option<Log<TickSummary>>,
     /// The checkpoint table, the interval, and the watchdog.
     checkpoints: Option<(SharedTable<ControllerCheckpoint>, u64, TickWatchdog)>,
     obs: Option<ObsSampler>,
@@ -165,7 +163,6 @@ impl Deployment {
         Deployment {
             controller,
             chaos: None,
-            journal: None,
             checkpoints: None,
             obs: None,
             owners: OwnerStats::default(),
@@ -179,13 +176,6 @@ impl Deployment {
     pub fn with_chaos(mut self, plan: FaultPlan) -> Deployment {
         self.controller.attach_chaos(plan.clone());
         self.chaos = Some((plan, self.controller.bus().subscribe()));
-        self
-    }
-
-    /// Journals every tick summary to `log`; a failed insert counts as a
-    /// storage error and the run keeps ticking.
-    pub fn with_journal(mut self, log: Log<TickSummary>) -> Deployment {
-        self.journal = Some(log);
         self
     }
 
@@ -291,11 +281,6 @@ impl Deployment {
             }
             out.instances += slot.candidates.len() as u64;
 
-            if let Some(log) = self.journal.as_mut() {
-                if log.insert(&summary).is_err() {
-                    out.storage_errors += 1;
-                }
-            }
             if let Some(obs) = self.obs.as_mut() {
                 let (opens_total, open_now) = self.controller.breaker_totals();
                 let newly_opened = opens_total.saturating_sub(obs.breaker_opens_seen);

@@ -16,13 +16,14 @@
 //! * [`controller`] — the IMCF orchestration loop: AP → EP → translate the
 //!   plan into admit/block decisions → actuate through the device registry;
 //! * [`deployment`] — the one driver that ticks a controller, with opt-in
-//!   chaos, tick-journal, checkpoint and obs attachments; its one tick per
-//!   simulated hour stands in for the paper's cron job that fires the EP;
+//!   chaos, checkpoint and obs attachments; its one tick per simulated
+//!   hour stands in for the paper's cron job that fires the EP;
 //! * [`prototype`] — the week-long three-resident prototype deployment
 //!   (paper §III-F, Tables IV and V), a projection of one deployment run;
 //! * [`soak`] — the chaos soak harness: a deployment under an
-//!   `imcf-chaos` fault plan (device faults, store faults, sensor
-//!   outages, bus stalls), reporting what survived;
+//!   `imcf-chaos` fault plan (device faults, plus sensor outages and bus
+//!   stalls when configured), optionally journaled to the command journal
+//!   with the plan's store faults on its WAL, reporting what survived;
 //! * [`recovery`] — checkpoint/restore plus the exactly-once command
 //!   journal, and the recoverable run `imcf chaos --crash` kills and
 //!   restarts;

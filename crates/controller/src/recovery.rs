@@ -139,6 +139,12 @@ impl CommandJournal {
         Ok((journal, replayed))
     }
 
+    /// Fails the journal's WAL operations as `plan`'s store faults say,
+    /// through [`FaultPlan::wal_fault_hook`].
+    pub fn inject_store_faults(&mut self, plan: &FaultPlan) {
+        self.log.set_wal_fault_hook(plan.wal_fault_hook());
+    }
+
     /// Journal rows currently readable (commands + tick seals).
     pub fn rows(&self) -> u64 {
         self.log.len() as u64

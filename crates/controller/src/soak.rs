@@ -1,29 +1,29 @@
 //! The chaos soak harness: a controller deployment ticked for days under
 //! an [`imcf_chaos::FaultPlan`].
 //!
-//! The soak wires every injection point at once — device-command faults
-//! through the registry injector, WAL write/fsync faults and a torn tail
-//! through the store hook, sensor freezes through an
-//! [`imcf_traces::outage::OutagePlan`], and a periodically stalled bus
-//! subscriber — then drives a [`Deployment`] and reports what survived.
-//! Everything is sim-time deterministic: the same [`SoakConfig`] produces
-//! a byte-identical [`SoakOutcome`] regardless of process, thread count or
-//! query order, which is what lets the `chaos_soak` bench sweep fault
-//! rates under `imcf-pool` and still compare results exactly.
+//! The soak drives a [`Deployment`] with the plan's device-command faults
+//! injected through the registry, a bus subscriber that stalls on the
+//! plan's stall ticks (only when the plan sets a stall rate), and, when
+//! configured, sensor freezes through an
+//! [`imcf_traces::outage::OutagePlan`]; then it reports what survived.
+//! Given a directory, it also attaches the exactly-once command journal
+//! (the one journal `imcf chaos --crash` audits), fails its WAL
+//! operations per the plan's store rate, tears its tail per the plan and
+//! audits the reopened journal. Everything is sim-time deterministic: the
+//! same [`SoakConfig`] produces a byte-identical [`SoakOutcome`]
+//! regardless of process, thread count or query order, which is what lets
+//! the `chaos_soak` bench sweep fault rates under `imcf-pool` and still
+//! compare results exactly.
 
-use crate::controller::{ControllerConfig, LocalController, TickSummary};
+use crate::controller::{ControllerConfig, LocalController};
 use crate::deployment::{zone_names, Deployment, ZoneSlots};
-use imcf_chaos::{FaultPlan, StoreOp};
+use crate::recovery::{audit_journal, CommandJournal, JOURNAL_TABLE};
+use imcf_chaos::FaultPlan;
 use imcf_core::calendar::PaperCalendar;
-use imcf_store::{Log, WalOp};
+use imcf_store::segment::segment_files;
 use imcf_traces::outage::OutagePlan;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// The soak journal's table name.
-const SOAK_JOURNAL: &str = "soak_journal";
 
 /// Soak scenario configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,10 +89,11 @@ pub struct SoakOutcome {
     /// Breakers that opened at least once and ended the run closed (the
     /// half-open probe succeeded).
     pub breakers_recovered: u64,
-    /// Tick- and command-journal writes that failed with a storage error.
+    /// Command-journal operations (appends, seals, fsyncs) that failed
+    /// with a storage error.
     pub storage_errors: u64,
-    /// Rows readable from the journal after the final (possibly torn)
-    /// reopen; 0 without a journal.
+    /// Command-journal rows (commands and tick seals) readable after the
+    /// final (possibly torn) reopen; 0 without a journal.
     pub journal_rows: u64,
     /// Whether the final reopen was handed a torn WAL tail.
     pub torn_reopen: bool,
@@ -115,14 +116,18 @@ pub struct SoakOutcome {
     /// their ambient deficiency).
     pub fce_percent: f64,
     /// A soak-level failure (e.g. the journal directory could not be
-    /// opened, or the final reopen failed). `None` on a clean run; when
-    /// set, the counters describe however much of the run completed.
+    /// opened or already holds a journal, or the final reopen failed).
+    /// `None` on a clean run; when set, the counters describe however much
+    /// of the run completed.
     pub error: Option<String>,
 }
 
-/// Runs a soak scenario. With `journal_dir`, every tick summary is
-/// journaled to a WAL-backed log wired with the plan's store faults,
-/// and the journal is torn + reopened at the end per the plan.
+/// Runs a soak scenario. With `journal_dir`, the controller journals
+/// every command and tick seal to the exactly-once command journal in that
+/// directory, with the plan's store faults hooked into its log; at the end
+/// the journal's tail is torn per the plan and the journal is audited
+/// from disk. A directory that already holds a command journal is
+/// refused: the run would dedup every command against the earlier one.
 pub fn run_soak(config: &SoakConfig, journal_dir: Option<&Path>) -> SoakOutcome {
     // A soak-level failure (a zone clash, an unusable journal directory)
     // is an operator error, not a survivability finding: report it in the
@@ -133,7 +138,7 @@ pub fn run_soak(config: &SoakConfig, journal_dir: Option<&Path>) -> SoakOutcome 
         ..SoakOutcome::default()
     };
     let zones = zone_names(config.zones);
-    let controller = match LocalController::with_zones(
+    let mut controller = match LocalController::with_zones(
         ControllerConfig::default(),
         PaperCalendar::january_start(),
         &zones,
@@ -141,38 +146,29 @@ pub fn run_soak(config: &SoakConfig, journal_dir: Option<&Path>) -> SoakOutcome 
         Ok(controller) => controller,
         Err(e) => return refuse(e.to_string()),
     };
-    let mut deployment = Deployment::new(controller).with_chaos(config.plan.clone());
-    if config.obs_capacity > 0 {
-        deployment = deployment.with_obs(config.obs_capacity);
-    }
     if let Some(dir) = journal_dir {
-        match Log::open(dir, SOAK_JOURNAL, |_| {}) {
-            Ok(mut log) => {
-                let plan = config.plan.clone();
-                let op_index = Arc::new(AtomicU64::new(0));
-                log.set_wal_fault_hook(move |op| {
-                    let i = op_index.fetch_add(1, Ordering::SeqCst);
-                    let op = match op {
-                        WalOp::Append => StoreOp::Append,
-                        WalOp::Sync => StoreOp::Sync,
-                        WalOp::Seal => StoreOp::Seal,
-                        WalOp::Compact => StoreOp::Compact,
-                        WalOp::Truncate => StoreOp::Truncate,
-                    };
-                    plan.store_fault(op, i).map(|fault| {
-                        imcf_chaos::record_injection(fault.kind());
-                        std::io::Error::other(fault.kind())
-                    })
-                });
-                deployment = deployment.with_journal(log);
+        if segment_files(dir, JOURNAL_TABLE).is_ok_and(|files| !files.is_empty()) {
+            return refuse(format!(
+                "`{}` already holds a command journal; a soak journals into a fresh directory",
+                dir.display()
+            ));
+        }
+        match CommandJournal::open(dir, &controller.registry()) {
+            Ok((mut journal, _)) => {
+                journal.inject_store_faults(&config.plan);
+                controller.attach_journal(journal);
             }
             Err(e) => {
                 return refuse(format!(
-                    "cannot open soak journal in `{}`: {e}",
+                    "cannot open the command journal in `{}`: {e}",
                     dir.display()
                 ))
             }
         }
+    }
+    let mut deployment = Deployment::new(controller).with_chaos(config.plan.clone());
+    if config.obs_capacity > 0 {
+        deployment = deployment.with_obs(config.obs_capacity);
     }
 
     let outage = (config.outage_rate_per_week > 0.0)
@@ -184,35 +180,33 @@ pub fn run_soak(config: &SoakConfig, journal_dir: Option<&Path>) -> SoakOutcome 
     };
     out.seed = config.seed;
 
-    // Tear the journal's WAL tail per the plan and prove a clean reopen.
+    // Close the journal, tear its WAL tail per the plan and prove a clean
+    // reopen.
     drop(deployment);
     if let Some(dir) = journal_dir {
-        if let Some(bytes) = config.plan.torn_tail_bytes(0) {
-            // Tear the *highest-seq* segment — that is the active tail;
-            // earlier (sealed) segments are never written again.
-            let wal_path = imcf_store::segment::segment_files(dir, SOAK_JOURNAL)
-                .ok()
-                .and_then(|files| files.into_iter().next_back())
-                .map(|(_, path)| path)
-                .unwrap_or_else(|| dir.join(format!("{SOAK_JOURNAL}.wal")));
-            if let Ok(meta) = std::fs::metadata(&wal_path) {
-                let new_len = meta.len().saturating_sub(bytes);
-                if let Ok(file) = std::fs::OpenOptions::new().write(true).open(&wal_path) {
-                    if file.set_len(new_len).is_ok() {
-                        out.torn_reopen = true;
-                        // Recovering from a torn WAL tail is an anomaly
-                        // worth a flight dump: the causal record of the
-                        // final ticks survives alongside the journal.
-                        imcf_telemetry::trace::recorder().trigger("wal_recovery");
-                    }
-                }
+        // Tear the *highest-seq* segment — that is the active tail;
+        // earlier (sealed) segments are never written again.
+        let tail = segment_files(dir, JOURNAL_TABLE)
+            .ok()
+            .and_then(|files| files.into_iter().next_back());
+        if let (Some(bytes), Some((_, wal_path))) = (config.plan.torn_tail_bytes(0), tail) {
+            let torn = std::fs::OpenOptions::new()
+                .write(true)
+                .open(&wal_path)
+                .and_then(|file| file.set_len(file.metadata()?.len().saturating_sub(bytes)));
+            if torn.is_ok() {
+                out.torn_reopen = true;
+                // Recovering from a torn WAL tail is an anomaly worth a
+                // flight dump: the causal record of the final ticks
+                // survives alongside the journal.
+                imcf_telemetry::trace::recorder().trigger("wal_recovery");
             }
         }
         // The whole point of the WAL is that a torn tail reopens cleanly;
         // if it does not, that is a store bug the outcome must surface —
         // still not worth killing the process that holds the counters.
-        match Log::<TickSummary>::open(dir, SOAK_JOURNAL, |_| {}) {
-            Ok(reopened) => out.journal_rows = reopened.len() as u64,
+        match audit_journal(dir) {
+            Ok(audit) => out.journal_rows = audit.rows,
             Err(e) => {
                 out.error = Some(format!(
                     "journal failed to reopen after {} run: {e}",
@@ -363,7 +357,7 @@ mod tests {
         // The requested journal dir sits *under a file*: uncreatable.
         let out = run_soak(&config, Some(&in_the_way.join("journal")));
         let error = out.error.as_deref().expect("outcome must carry the error");
-        assert!(error.contains("soak journal"), "{error}");
+        assert!(error.contains("command journal"), "{error}");
         assert_eq!(out.ticks, 0, "the run must not start without its journal");
         assert_eq!(out.delivered, 0);
         assert_eq!(out.seed, config.seed, "the outcome still names its run");

@@ -1,12 +1,12 @@
-//! Survivability contract for the resilient actuation pipeline (ISSUE 4
-//! acceptance): a long soak at a 10 % command-fault rate with store
-//! faults and a journal on disk must keep ticking — no panics, breakers
-//! open *and* recover through the half-open probe, and the journal
-//! reopens cleanly even after a torn WAL tail.
+//! Survivability contract for the resilient actuation pipeline: a long
+//! soak at a 10 % command-fault rate with store faults and a journal on
+//! disk must keep ticking — no panics, breakers open *and* recover
+//! through the half-open probe, and the command journal reopens cleanly
+//! even after a torn WAL tail. Journaling and bus stalls are pure
+//! attachments: neither changes what the controller decides.
 
 use imcf_chaos::FaultPlan;
-use imcf_controller::{run_soak, SoakConfig};
-use imcf_store::Table;
+use imcf_controller::{audit_journal, run_soak, SoakConfig, SoakOutcome};
 
 fn survivability_config(seed: u64) -> SoakConfig {
     SoakConfig {
@@ -89,27 +89,130 @@ fn journal_reopens_cleanly_after_faulted_run_with_torn_tail() {
         })
         .expect("no seed in 0..32 tore the WAL tail at a 60% store rate");
 
-    // The soak already reopened once after truncation; reopen again here
-    // to prove the recovery is stable, not a one-shot salvage.
-    let table: Table<imcf_controller::TickSummary> =
-        Table::open(dir.path(), "soak_journal").expect("post-soak reopen failed");
+    // The soak already audited the journal once after truncation; audit
+    // it again here to prove the recovery is stable, not a one-shot
+    // salvage.
+    let audit = audit_journal(dir.path()).expect("post-soak reopen failed");
     assert_eq!(
-        table.len() as u64,
-        outcome.journal_rows,
+        audit.rows, outcome.journal_rows,
         "journal row count changed across reopen"
     );
-    // Storage faults were injected, so some inserts failed — but every
-    // surviving row must round-trip.
+    // Storage faults were injected, so some appends failed — but every
+    // surviving row must round-trip, and none may double a delivery.
     assert!(
         outcome.storage_errors > 0,
         "no WAL faults fired: {outcome:?}"
     );
-    for (_, row) in table.scan() {
-        assert!(
-            row.hour_index < outcome.ticks,
-            "corrupt journal row: {row:?}"
-        );
+    assert_eq!(audit.duplicate_deliveries, 0, "{audit:?}");
+    assert!(audit.sealed_ticks <= outcome.ticks, "{audit:?}");
+    assert!(
+        audit.delivered_ids.len() as u64 <= outcome.delivered,
+        "{audit:?}"
+    );
+}
+
+/// `out` with the three fields only a journal moves reset.
+fn journal_fields_reset(out: &SoakOutcome) -> SoakOutcome {
+    SoakOutcome {
+        journal_rows: 0,
+        storage_errors: 0,
+        torn_reopen: false,
+        ..out.clone()
     }
+}
+
+#[test]
+fn a_journaled_soak_decides_what_an_unjournaled_one_does() {
+    for seed in [0, 7, 11] {
+        for store_rate in [0.0, 0.05, 0.3, 0.6] {
+            let config = SoakConfig {
+                seed,
+                ticks: 120,
+                zones: 3,
+                plan: FaultPlan::commands(seed, 0.10).with_store_faults(store_rate),
+                ..SoakConfig::default()
+            };
+            let dir = tempfile::tempdir().unwrap();
+            let journaled = run_soak(&config, Some(dir.path()));
+            let bare = run_soak(&config, None);
+            let case = format!("seed {seed}, store rate {store_rate}");
+            assert_eq!(journaled.error, None, "{case}");
+            assert!(journaled.journal_rows > 0, "{case}: {journaled:?}");
+            assert_eq!(
+                journal_fields_reset(&journaled),
+                journal_fields_reset(&bare),
+                "{case}"
+            );
+            if store_rate > 0.0 {
+                continue;
+            }
+            assert_eq!(journaled.storage_errors, 0, "{case}");
+            assert!(!journaled.torn_reopen, "{case}");
+            let audit = audit_journal(dir.path()).unwrap();
+            assert_eq!(audit.rows, journaled.journal_rows, "{case}");
+            assert_eq!(audit.duplicate_deliveries, 0, "{case}");
+            assert_eq!(audit.sealed_ticks, journaled.ticks, "{case}");
+            assert_eq!(
+                audit.delivered_ids.len() as u64,
+                journaled.delivered,
+                "{case}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_second_soak_into_a_journaled_directory_is_refused() {
+    let dir = tempfile::tempdir().unwrap();
+    let config = SoakConfig {
+        ticks: 24,
+        zones: 1,
+        plan: FaultPlan::commands(0, 0.10),
+        ..SoakConfig::default()
+    };
+    let first = run_soak(&config, Some(dir.path()));
+    assert_eq!(first.error, None, "{first:?}");
+
+    let again = run_soak(&config, Some(dir.path()));
+    assert_eq!(again.ticks, 0, "{again:?}");
+    assert_eq!(again.delivered, 0, "{again:?}");
+    let error = again.error.as_deref().unwrap_or_default();
+    assert!(
+        error.contains("already holds a command journal"),
+        "{again:?}"
+    );
+    // The refused run left the first run's journal as it found it.
+    assert_eq!(audit_journal(dir.path()).unwrap().rows, first.journal_rows);
+}
+
+#[test]
+fn bus_stalls_build_backlog_and_change_nothing_else() {
+    let config = |plan| SoakConfig {
+        seed: 2,
+        ticks: 168,
+        zones: 3,
+        plan,
+        ..SoakConfig::default()
+    };
+    let flowing = run_soak(&config(FaultPlan::commands(2, 0.1)), None);
+    let stalled_plan = FaultPlan::commands(2, 0.1).with_bus_stalls(0.3);
+    let stalled = run_soak(&config(stalled_plan.clone()), None);
+
+    assert_eq!(flowing.stalled_ticks, 0, "{flowing:?}");
+    assert!(stalled.stalled_ticks > 0, "{stalled:?}");
+    assert!(
+        stalled.max_bus_backlog > flowing.max_bus_backlog,
+        "stalled backlog {} vs flowing {}",
+        stalled.max_bus_backlog,
+        flowing.max_bus_backlog
+    );
+    let bus_fields_reset = |out: &SoakOutcome| SoakOutcome {
+        stalled_ticks: 0,
+        max_bus_backlog: 0,
+        ..out.clone()
+    };
+    assert_eq!(bus_fields_reset(&stalled), bus_fields_reset(&flowing));
+    assert_eq!(run_soak(&config(stalled_plan), None), stalled);
 }
 
 #[test]

@@ -8,8 +8,9 @@
 //! written — moves a pin here even where the drivers' own tests only
 //! compare two runs of the same code.
 //!
-//! The store's bytes are pinned the same way: the `command_journal`,
-//! `checkpoint` and `soak_journal` log segments a run leaves on disk.
+//! The store's bytes are pinned the same way: the `command_journal` and
+//! `checkpoint` log segments a recoverable run or a journaled soak leaves
+//! on disk.
 
 use imcf_chaos::FaultPlan;
 use imcf_controller::prototype::{run_prototype, PrototypeConfig};
@@ -81,9 +82,9 @@ fn journaled_soak_with_a_torn_tail_is_pinned() {
     };
     let out = run_soak(&config, Some(dir.path()));
     assert!(out.torn_reopen, "{out:?}");
-    assert_eq!(out.journal_rows, 54);
-    assert_eq!(out.storage_errors, 65);
-    assert_eq!(pin(&out), "006eab4cee444657");
+    assert_eq!(out.journal_rows, 297);
+    assert_eq!(out.storage_errors, 529);
+    assert_eq!(pin(&out), "e35deb1ec23e0551");
 }
 
 fn faulty_recovery(ticks: u64) -> RecoveryConfig {
@@ -183,8 +184,8 @@ fn journaled_soak_bytes_are_pinned() {
         ..SoakConfig::default()
     };
     let out = run_soak(&config, Some(dir.path()));
-    assert_eq!(out.journal_rows, 96);
-    assert_eq!(files_pin(dir.path(), "soak_journal"), "c1634a0659bff210");
+    assert_eq!(out.journal_rows, 470);
+    assert_eq!(files_pin(dir.path(), "command_journal"), "4bbaadef688c5d09");
 
     // Store faults and a torn tail: the reopen keeps the valid prefix.
     let dir = tempfile::tempdir().unwrap();
@@ -197,5 +198,5 @@ fn journaled_soak_bytes_are_pinned() {
     };
     let out = run_soak(&config, Some(dir.path()));
     assert!(out.torn_reopen, "{out:?}");
-    assert_eq!(files_pin(dir.path(), "soak_journal"), "ee510d604095e11e");
+    assert_eq!(files_pin(dir.path(), "command_journal"), "7a138dc6687e7e00");
 }

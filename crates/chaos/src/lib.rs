@@ -6,14 +6,13 @@
 //! resilience primitives that let the Local Controller survive them.
 //!
 //! * [`FaultPlan`] — a seeded, serde round-trippable schedule of injected
-//!   faults, set by four knobs: the seed, a device-command fault rate
-//!   (drop / delay / stuck actuator), one store-fault rate (every WAL
-//!   operation, and a torn tail on reopen at a quarter of it) and a
-//!   bus-stall rate (stalled subscriber windows, which fire only when a
-//!   plan sets it). Every decision is a pure function of
-//!   `(seed, coordinates)`: a ChaCha8 stream is derived per query, so the
-//!   answer does not depend on query order, thread interleaving or worker
-//!   count — the same determinism contract as `imcf-pool`.
+//!   faults, set by three knobs: the seed, a device-command fault rate
+//!   (drop / delay / stuck actuator) and one store-fault rate (every WAL
+//!   operation, and a torn tail on reopen at a quarter of it). Every
+//!   decision is a pure function of `(seed, coordinates)`: a ChaCha8
+//!   stream is derived per query, so the answer does not depend on query
+//!   order, thread interleaving or worker count — the same determinism
+//!   contract as `imcf-pool`.
 //! * [`RetryPolicy`] — bounded attempts with deterministic sim-time
 //!   exponential backoff and seeded jitter (ticks, not wall clock).
 //! * [`CircuitBreaker`] — the classic closed → open → half-open state

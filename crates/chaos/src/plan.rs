@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] is configuration plus a seed; the concrete faults are
 //! *derived*, never stored. Each query (`command_fault`, `store_fault`,
-//! `torn_tail_bytes`, `bus_stalled`) seeds its own ChaCha8 stream from
+//! `torn_tail_bytes`) seeds its own ChaCha8 stream from
 //! `seed ⊕ splitmix64(domain ⊕ coordinates)`, so:
 //!
 //! * the same `(plan, coordinates)` always yields the same fault — across
@@ -82,7 +82,6 @@ impl StoreFault {
 const DOMAIN_COMMAND: u64 = 0x00C0_FFEE_0001;
 const DOMAIN_STORE: u64 = 0x00C0_FFEE_0002;
 const DOMAIN_TORN: u64 = 0x00C0_FFEE_0003;
-const DOMAIN_BUS: u64 = 0x00C0_FFEE_0004;
 
 /// Upper bound on [`CommandFault::Delay`] recovery, ticks.
 const DELAY_MAX_TICKS: u64 = 2;
@@ -100,9 +99,6 @@ pub struct FaultPlan {
     /// compaction, truncation) fails; a store reopen finds a torn tail at
     /// a quarter of it.
     pub store_rate: f64,
-    /// Probability that a bus subscriber stalls (stops draining) for a
-    /// given tick.
-    pub bus_stall_rate: f64,
 }
 
 impl FaultPlan {
@@ -112,7 +108,6 @@ impl FaultPlan {
             seed,
             command_rate: 0.0,
             store_rate: 0.0,
-            bus_stall_rate: 0.0,
         }
     }
 
@@ -132,15 +127,9 @@ impl FaultPlan {
         self
     }
 
-    /// Adds bus stall windows at `rate`.
-    pub fn with_bus_stalls(mut self, rate: f64) -> Self {
-        self.bus_stall_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
     /// True when no fault family has a positive rate.
     pub fn is_disabled(&self) -> bool {
-        self.command_rate <= 0.0 && self.store_rate <= 0.0 && self.bus_stall_rate <= 0.0
+        self.command_rate <= 0.0 && self.store_rate <= 0.0
     }
 
     /// The ChaCha8 stream for one decision coordinate.
@@ -242,15 +231,6 @@ impl FaultPlan {
         rng.gen_bool((self.store_rate / 4.0).clamp(0.0, 1.0))
             .then(|| rng.gen_range(1..=6u64))
     }
-
-    /// Whether the chaos subscriber stalls (does not drain) during `tick`.
-    pub fn bus_stalled(&self, tick: u64) -> bool {
-        if self.bus_stall_rate <= 0.0 {
-            return false;
-        }
-        let mut rng = self.stream(DOMAIN_BUS, tick, 0);
-        rng.gen_bool(self.bus_stall_rate.clamp(0.0, 1.0))
-    }
 }
 
 /// FNV-1a over a device key, folding strings into decision coordinates.
@@ -323,7 +303,6 @@ mod tests {
                 assert_eq!(p.store_fault(op, t), None);
             }
             assert_eq!(p.torn_tail_bytes(t), None);
-            assert!(!p.bus_stalled(t));
         }
     }
 
@@ -337,14 +316,13 @@ mod tests {
 
     #[test]
     fn serde_round_trip_preserves_decisions() {
-        let p = plan(0.4).with_bus_stalls(0.2);
+        let p = plan(0.4);
         let json = serde_json::to_string(&p).unwrap();
         let q: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(p, q);
         for t in 0..100 {
             assert_eq!(p.command_fault(t, "h"), q.command_fault(t, "h"));
             assert_eq!(p.torn_tail_bytes(t), q.torn_tail_bytes(t));
-            assert_eq!(p.bus_stalled(t), q.bus_stalled(t));
         }
     }
 

@@ -3,7 +3,8 @@
 //! The paper's GUI talks to openHAB through its REST API ("The OpenHAB
 //! Rules Table records are retrieved through the OpenHAB Rest API",
 //! §II-D). This module provides the equivalent in-process endpoint: a
-//! [`Router`] that accepts openHAB-shaped request lines
+//! [`Router`] that answers openHAB-shaped requests, each a method, a
+//! target and an optional body value
 //!
 //! ```text
 //! GET  /rest/items
@@ -215,16 +216,13 @@ impl Router {
         }
     }
 
-    /// Handles one request line.
-    pub fn handle(&self, request: &str) -> Response {
-        let mut parts = request.splitn(3, ' ');
-        let method = parts.next().unwrap_or("");
-        let full_path = parts.next().unwrap_or("");
-        let body = parts.next().unwrap_or("").trim();
-        let (path, query) = match full_path.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (full_path, ""),
-        };
+    /// Handles one request: its method, its target (path plus optional
+    /// `?query`) and its body, whose surrounding whitespace is ignored.
+    /// The wire parser only hands over uppercase methods and targets that
+    /// start with `/`; an in-process caller that breaks either gets a 400.
+    pub fn handle(&self, method: &str, target: &str, body: &str) -> Response {
+        let body = body.trim();
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
         let response = match (method, path) {
             ("GET", "/rest/items") => self.get_items(),
             ("GET", p) if p.starts_with("/rest/items/") => {
@@ -244,7 +242,7 @@ impl Router {
             ("GET", "/rest/query") => self.get_query(query),
             ("GET", "/rest/alerts") => self.get_alerts(),
             _ if method.is_empty() || path.is_empty() || !path.starts_with('/') => {
-                Response::error(400, "expected `<METHOD> <path>` with an optional value")
+                Response::error(400, "expected a method and a `/` path")
             }
             // A known path with the wrong method is a 405 that names the
             // methods it does answer, not a generic 404.
@@ -487,11 +485,11 @@ mod tests {
     #[test]
     fn lists_items_and_things() {
         let (_c, router) = router_with_zone();
-        let r = router.handle("GET /rest/items");
+        let r = router.handle("GET", "/rest/items", "");
         assert_eq!(r.status, 200);
         assert!(r.body.contains("den_SetPoint"));
         assert!(r.body.contains("den_Light"));
-        let r = router.handle("GET /rest/things");
+        let r = router.handle("GET", "/rest/things", "");
         assert_eq!(r.status, 200);
         assert!(r.body.contains("imcf:hvac:den"));
     }
@@ -499,9 +497,9 @@ mod tests {
     #[test]
     fn item_command_round_trip() {
         let (_c, router) = router_with_zone();
-        let r = router.handle("POST /rest/items/den_SetPoint 21.5");
+        let r = router.handle("POST", "/rest/items/den_SetPoint", "21.5");
         assert_eq!(r.status, 200, "body: {}", r.body);
-        let r = router.handle("GET /rest/items/den_SetPoint");
+        let r = router.handle("GET", "/rest/items/den_SetPoint", "");
         assert!(r.body.contains("21.5"), "body: {}", r.body);
     }
 
@@ -511,7 +509,7 @@ mod tests {
         c.firewall()
             .lock()
             .set_policy(crate::firewall::Verdict::Drop);
-        let r = router.handle("POST /rest/items/den_SetPoint 25");
+        let r = router.handle("POST", "/rest/items/den_SetPoint", "25");
         assert_eq!(r.status, 409);
         assert!(r.body.contains("firewall"));
     }
@@ -519,7 +517,7 @@ mod tests {
     #[test]
     fn firewall_endpoint_reports_state() {
         let (_c, router) = router_with_zone();
-        let r = router.handle("GET /rest/firewall");
+        let r = router.handle("GET", "/rest/firewall", "");
         assert_eq!(r.status, 200);
         assert!(r.body.contains("iptables -P OUTPUT"));
     }
@@ -527,7 +525,7 @@ mod tests {
     #[test]
     fn meter_endpoint() {
         let (_c, router) = router_with_zone();
-        let r = router.handle("GET /rest/meter");
+        let r = router.handle("GET", "/rest/meter", "");
         assert_eq!(r.status, 200);
         assert!(r.body.contains("total_kwh"));
     }
@@ -552,7 +550,7 @@ mod tests {
             c.firewall(),
             Arc::new(Mutex::new(EnergyMeter::new(PaperCalendar::january_start()))),
         );
-        let r = plain.handle("GET /rest/breakers");
+        let r = plain.handle("GET", "/rest/breakers", "");
         assert_eq!(r.status, 200);
         assert!(r.body.contains("\"breakers\":[]"), "body: {}", r.body);
 
@@ -566,7 +564,7 @@ mod tests {
             );
             c.tick_with_errors(&slot);
         }
-        let r = router.handle("GET /rest/breakers");
+        let r = router.handle("GET", "/rest/breakers", "");
         assert_eq!(r.status, 200);
         assert!(r.body.contains("imcf:hvac:den"), "body: {}", r.body);
         assert!(r.body.contains("Open"), "body: {}", r.body);
@@ -576,10 +574,10 @@ mod tests {
     #[test]
     fn metrics_content_types() {
         let (_c, router) = router_with_zone();
-        let r = router.handle("GET /rest/metrics");
+        let r = router.handle("GET", "/rest/metrics", "");
         assert_eq!(r.status, 200);
         assert_eq!(r.content_type, PROMETHEUS_CONTENT_TYPE);
-        let r = router.handle("GET /rest/metrics?format=json");
+        let r = router.handle("GET", "/rest/metrics?format=json", "");
         assert_eq!(r.status, 200);
         assert_eq!(r.content_type, JSON_CONTENT_TYPE);
     }
@@ -600,21 +598,23 @@ mod tests {
         }
         recorder.set_enabled(was_enabled);
 
-        let r = router.handle("GET /rest/traces");
+        let r = router.handle("GET", "/rest/traces", "");
         assert_eq!(r.status, 200);
         assert_eq!(r.content_type, JSON_CONTENT_TYPE);
         assert!(r.body.contains(&id.to_hex()), "body: {}", r.body);
         assert!(r.body.contains("api-test"), "body: {}", r.body);
 
-        let r = router.handle(&format!("GET /rest/traces?id={}", id.to_hex()));
+        let r = router.handle("GET", &format!("/rest/traces?id={}", id.to_hex()), "");
         assert_eq!(r.status, 200);
         assert_eq!(r.content_type, JSON_CONTENT_TYPE);
         assert!(r.body.contains("traceEvents"), "body: {}", r.body);
         assert!(r.body.contains("api.work"), "body: {}", r.body);
 
-        assert_eq!(router.handle("GET /rest/traces?id=zzzz").status, 400);
+        assert_eq!(router.handle("GET", "/rest/traces?id=zzzz", "").status, 400);
         assert_eq!(
-            router.handle("GET /rest/traces?id=00000000000000ff").status,
+            router
+                .handle("GET", "/rest/traces?id=00000000000000ff", "")
+                .status,
             404
         );
     }
@@ -622,31 +622,31 @@ mod tests {
     #[test]
     fn error_paths() {
         let (_c, router) = router_with_zone();
-        assert_eq!(router.handle("GET /rest/items/nope").status, 404);
-        assert_eq!(router.handle("POST /rest/items/nope 1").status, 404);
+        assert_eq!(router.handle("GET", "/rest/items/nope", "").status, 404);
+        assert_eq!(router.handle("POST", "/rest/items/nope", "1").status, 404);
         assert_eq!(
-            router.handle("POST /rest/items/den_SetPoint abc").status,
+            router
+                .handle("POST", "/rest/items/den_SetPoint", "abc")
+                .status,
             400
         );
         // Non-finite values parse as floats but never reach a device.
         for item in ["den_SetPoint", "den_Light"] {
-            let before = router.handle(&format!("GET /rest/items/{item}")).body;
+            let target = format!("/rest/items/{item}");
+            let before = router.handle("GET", &target, "").body;
             for value in ["NaN", "inf", "-inf", "infinity"] {
-                let r = router.handle(&format!("POST /rest/items/{item} {value}"));
+                let r = router.handle("POST", &target, value);
                 assert_eq!(r.status, 400, "{item} <- {value}");
                 assert!(r.body.contains("invalid value"), "{}", r.body);
             }
-            assert_eq!(
-                router.handle(&format!("GET /rest/items/{item}")).body,
-                before
-            );
+            assert_eq!(router.handle("GET", &target, "").body, before);
         }
         assert_eq!(router.registry.counters(), (0, 0));
-        assert_eq!(router.handle("GET /rest/unknown").status, 404);
-        assert_eq!(router.handle("DELETE /rest/unknown").status, 404);
-        assert_eq!(router.handle("").status, 400);
-        assert_eq!(router.handle("GET").status, 400);
-        assert_eq!(router.handle("GET not-a-path").status, 400);
+        assert_eq!(router.handle("GET", "/rest/unknown", "").status, 404);
+        assert_eq!(router.handle("DELETE", "/rest/unknown", "").status, 404);
+        assert_eq!(router.handle("", "", "").status, 400);
+        assert_eq!(router.handle("GET", "", "").status, 400);
+        assert_eq!(router.handle("GET", "not-a-path", "").status, 400);
     }
 
     /// An unknown method on a *known* path is a 405 naming the methods the
@@ -654,41 +654,44 @@ mod tests {
     #[test]
     fn unknown_method_on_known_path_is_405_with_allow() {
         let (_c, router) = router_with_zone();
-        let r = router.handle("DELETE /rest/items");
+        let r = router.handle("DELETE", "/rest/items", "");
         assert_eq!(r.status, 405);
         assert_eq!(r.header("Allow"), Some("GET"));
-        let r = router.handle("PUT /rest/items/den_SetPoint 21");
+        let r = router.handle("PUT", "/rest/items/den_SetPoint", "21");
         assert_eq!(r.status, 405);
         assert_eq!(r.header("Allow"), Some("GET, POST"));
-        let r = router.handle("POST /rest/metrics");
+        let r = router.handle("POST", "/rest/metrics", "");
         assert_eq!(r.status, 405);
         assert_eq!(r.header("Allow"), Some("GET"));
         // Query strings do not defeat path recognition.
-        let r = router.handle("POST /rest/traces?id=00ff");
+        let r = router.handle("POST", "/rest/traces?id=00ff", "");
         assert_eq!(r.status, 405);
     }
 
     #[test]
     fn healthz_always_ok_and_readyz_follows_the_flag() {
         let (_c, router) = router_with_zone();
-        assert_eq!(router.handle("GET /rest/healthz").status, 200);
-        assert_eq!(router.handle("GET /rest/readyz").status, 200);
-        assert!(router.handle("GET /rest/readyz").body.contains("true"));
+        assert_eq!(router.handle("GET", "/rest/healthz", "").status, 200);
+        assert_eq!(router.handle("GET", "/rest/readyz", "").status, 200);
+        assert!(router
+            .handle("GET", "/rest/readyz", "")
+            .body
+            .contains("true"));
 
         // Drain: readiness flips, liveness does not.
         let ready = router.readiness();
         ready.store(false, Ordering::SeqCst);
-        let r = router.handle("GET /rest/readyz");
+        let r = router.handle("GET", "/rest/readyz", "");
         assert_eq!(r.status, 503);
         assert_eq!(r.header("Retry-After"), Some("1"));
-        assert_eq!(router.handle("GET /rest/healthz").status, 200);
+        assert_eq!(router.handle("GET", "/rest/healthz", "").status, 200);
 
         // Restore completes: ready again.
         ready.store(true, Ordering::SeqCst);
-        assert_eq!(router.handle("GET /rest/readyz").status, 200);
+        assert_eq!(router.handle("GET", "/rest/readyz", "").status, 200);
 
         // Probes are GET-only, like the rest of the read surface.
-        let r = router.handle("POST /rest/healthz");
+        let r = router.handle("POST", "/rest/healthz", "");
         assert_eq!(r.status, 405);
         assert_eq!(r.header("Allow"), Some("GET"));
     }
@@ -699,10 +702,10 @@ mod tests {
 
         let (_c, plain) = router_with_zone();
         // Unattached router answers both routes with empty-but-valid JSON.
-        let r = plain.handle("GET /rest/query");
+        let r = plain.handle("GET", "/rest/query", "");
         assert_eq!(r.status, 200);
         assert!(r.body.contains("\"series\":[]"), "body: {}", r.body);
-        let r = plain.handle("GET /rest/alerts");
+        let r = plain.handle("GET", "/rest/alerts", "");
         assert_eq!(r.status, 200);
         assert!(r.body.contains("\"alerts\":[]"), "body: {}", r.body);
 
@@ -723,7 +726,11 @@ mod tests {
         )
         .with_obs(Arc::new(Mutex::new(engine)));
 
-        let r = router.handle("GET /rest/query?series=journal.deduped&fn=rate&window=5");
+        let r = router.handle(
+            "GET",
+            "/rest/query?series=journal.deduped&fn=rate&window=5",
+            "",
+        );
         assert_eq!(r.status, 200, "body: {}", r.body);
         assert_eq!(r.content_type, JSON_CONTENT_TYPE);
         assert!(r.body.contains("\"value\":3"), "body: {}", r.body);
@@ -731,26 +738,26 @@ mod tests {
         // Typed errors map onto HTTP statuses.
         assert_eq!(
             router
-                .handle("GET /rest/query?series=no.such&fn=value")
+                .handle("GET", "/rest/query?series=no.such&fn=value", "")
                 .status,
             404
         );
         assert_eq!(
             router
-                .handle("GET /rest/query?series=journal.deduped&fn=bogus")
+                .handle("GET", "/rest/query?series=journal.deduped&fn=bogus", "")
                 .status,
             400
         );
 
-        let r = router.handle("GET /rest/alerts");
+        let r = router.handle("GET", "/rest/alerts", "");
         assert_eq!(r.status, 200);
         assert!(r.body.contains("breaker.open.storm"), "body: {}", r.body);
 
         // Both are GET-only.
-        let r = router.handle("POST /rest/query");
+        let r = router.handle("POST", "/rest/query", "");
         assert_eq!(r.status, 405);
         assert_eq!(r.header("Allow"), Some("GET"));
-        let r = router.handle("POST /rest/alerts");
+        let r = router.handle("POST", "/rest/alerts", "");
         assert_eq!(r.status, 405);
     }
 
@@ -765,7 +772,7 @@ mod tests {
         let engine = ObsEngine::in_memory(ObsConfig::default(), default_rules())
             .expect("stock rules validate");
         let router = router.with_obs(Arc::new(Mutex::new(engine)));
-        let r = router.handle("GET /rest/query?series=%a\u{e9}");
+        let r = router.handle("GET", "/rest/query?series=%a\u{e9}", "");
         assert_eq!(r.status, 404, "body: {}", r.body);
         assert!(
             r.body.contains("unknown series: %a\u{e9}"),

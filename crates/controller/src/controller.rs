@@ -1,8 +1,8 @@
 //! The IMCF orchestration loop.
 //!
 //! [`LocalController`] is the paper's LC + IMCF component: it owns the
-//! device registry, the firewall chain, the event bus, the energy meter and
-//! the Energy Planner. Each tick (one planning slot) it:
+//! device registry, the firewall chain, the energy meter and the Energy
+//! Planner. Each tick (one planning slot) it:
 //!
 //! 1. runs the EP over the slot's candidates,
 //! 2. translates the plan into firewall state — ACCEPT rules for adopted
@@ -10,7 +10,9 @@
 //!    the paper's `iptables` enforcement,
 //! 3. issues the adopted rules' actuation commands through the registry
 //!    (which consults the firewall on egress), and
-//! 4. meters the consumed energy and publishes events.
+//! 4. meters the consumed energy and reports the tick: its
+//!    [`TickSummary`], its errors and, when attached, the command
+//!    journal's records.
 //!
 //! ## Resilient actuation
 //!
@@ -34,7 +36,6 @@
 //! A quarantined or failed device keeps its last-known item state — the
 //! registry only mutates state on delivery.
 
-use crate::bus::{Event, EventBus};
 use crate::firewall::{Chain, FirewallRule, Match, Verdict};
 use crate::recovery::CommandJournal;
 use imcf_chaos::{BreakerBank, BreakerConfig, BreakerSnapshot, FaultPlan, RetryPolicy};
@@ -203,7 +204,6 @@ pub struct TickSummary {
 pub struct LocalController {
     registry: DeviceRegistry,
     firewall: Arc<Mutex<Chain>>,
-    bus: EventBus,
     planner: EnergyPlanner,
     rng: ChaCha8Rng,
     meter: EnergyMeter,
@@ -290,7 +290,6 @@ impl LocalController {
         LocalController {
             registry,
             firewall,
-            bus: EventBus::new(),
             planner,
             rng,
             meter: EnergyMeter::new(calendar),
@@ -448,11 +447,6 @@ impl LocalController {
     /// The device registry (shared handle).
     pub fn registry(&self) -> DeviceRegistry {
         self.registry.clone()
-    }
-
-    /// The event bus (shared handle).
-    pub fn bus(&self) -> EventBus {
-        self.bus.clone()
     }
 
     /// The firewall chain (shared handle).
@@ -733,10 +727,10 @@ impl LocalController {
             // already holds its effect, rebuilt at restore) but redo the
             // in-memory bookkeeping the crash wiped out, so the resumed
             // run's meter/breaker/reserve state matches the uncrashed one.
-            if let Some(wire) = self
+            if self
                 .journal
                 .as_ref()
-                .and_then(|journal| journal.delivered_wire(command_id))
+                .is_some_and(|journal| journal.is_delivered(command_id))
             {
                 delivered += 1;
                 energy += candidate.exec_kwh;
@@ -750,7 +744,6 @@ impl LocalController {
                 if trace::active() {
                     trace::point("actuation.replayed", &[("thing", uid)]);
                 }
-                self.bus.publish(Event::CommandDelivered { wire });
                 continue;
             }
 
@@ -781,7 +774,6 @@ impl LocalController {
                                 errors.push(e);
                             }
                         }
-                        self.bus.publish(Event::CommandDelivered { wire });
                         break;
                     }
                     Ok(CommandOutcome::Blocked) => {
@@ -789,9 +781,6 @@ impl LocalController {
                         if trace::active() {
                             trace::point("actuation.blocked", &[("thing", uid)]);
                         }
-                        self.bus.publish(Event::CommandBlocked {
-                            host: candidate.zone.clone(),
-                        });
                         break;
                     }
                     Ok(CommandOutcome::Offline) | Err(_) => {
@@ -838,11 +827,6 @@ impl LocalController {
                                     errors.push(e);
                                 }
                             }
-                            self.bus.publish(Event::CommandFailed {
-                                thing: uid.to_string(),
-                                attempts: attempt,
-                                reason: reason.clone(),
-                            });
                             errors.push(ControllerError::Actuation {
                                 thing: uid.to_string(),
                                 attempts: attempt,
@@ -858,14 +842,6 @@ impl LocalController {
         // Re-attribute the energy of commands that never landed: the plan
         // charged it, no device consumed it, so it rejoins the reserve.
         self.reserve_kwh = (slot.budget_kwh - spent).max(0.0) + undelivered_kwh;
-
-        self.bus.publish(Event::PlanComputed {
-            hour_index: hour,
-            adopted: adopted.clone(),
-            dropped: dropped.clone(),
-            energy_kwh: energy,
-        });
-        self.bus.publish(Event::TickCompleted { hour_index: hour });
 
         let summary = TickSummary {
             hour_index: hour,
@@ -975,24 +951,6 @@ mod tests {
     }
 
     #[test]
-    fn events_flow_on_tick() {
-        let mut c = controller_with_zone("z");
-        let rx = c.bus().subscribe();
-        let slot = PlanningSlot::new(0, vec![hvac_candidate("z", 22.0, 18.0, 0.2)], 1.0);
-        c.tick_with_errors(&slot);
-        let events: Vec<Event> = rx.try_iter().collect();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, Event::CommandDelivered { .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, Event::PlanComputed { .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, Event::TickCompleted { hour_index: 0 })));
-    }
-
-    #[test]
     fn light_candidates_route_to_light_things() {
         let mut c = controller_with_zone("z");
         // Desired 60 light with dark ambient, tiny cost.
@@ -1020,7 +978,6 @@ mod tests {
         use imcf_chaos::FaultPlan;
 
         let mut c = controller_with_zone("living");
-        let rx = c.bus().subscribe();
         // Rate 1.0: every dispatch faults, so all 3 attempts burn out.
         c.attach_chaos(FaultPlan::commands(5, 1.0));
         let slot = PlanningSlot::new(0, vec![hvac_candidate("living", 22.0, 15.0, 0.6)], 1.0);
@@ -1042,10 +999,6 @@ mod tests {
             c.reserve_kwh()
         );
         assert!((c.meter().total_kwh()).abs() < 1e-12);
-        // The failure is announced on the bus.
-        assert!(rx
-            .try_iter()
-            .any(|e| matches!(e, Event::CommandFailed { attempts: 3, .. })));
         // Item state is untouched: last-known state survives the fault.
         let item = c.registry().item("living_SetPoint").unwrap();
         assert_eq!(item.state, imcf_devices::item::ItemState::Undefined);

@@ -3,19 +3,17 @@
 //! The paper's Local Controller runs a single loop (Fig. 3): cron fires
 //! the EP, the plan becomes firewall rules, and the adopted rules actuate.
 //! A [`Deployment`] is that loop over a slot source, plus the attachments
-//! a run opts into: a chaos plan with its stalling bus subscriber,
-//! checkpoints under the stuck-tick watchdog, and the obs sampler. The
-//! command journal is the controller's own attachment
-//! ([`LocalController::attach_journal`]). Each run accumulates a
+//! a run opts into: checkpoints under the stuck-tick watchdog, and the obs
+//! sampler. The command journal and the chaos plan are the controller's
+//! own attachments ([`LocalController::attach_journal`],
+//! [`LocalController::attach_chaos`]). Each run accumulates a
 //! [`SoakOutcome`]; the soak, the recoverable run and the prototype week
 //! are projections of it.
 
-use crate::bus::Event;
 use crate::controller::{thing_uid, ControllerCheckpoint, ControllerError, LocalController};
 use crate::soak::SoakOutcome;
 use crate::supervisor::TickWatchdog;
-use crossbeam::channel::Receiver;
-use imcf_chaos::{BreakerState, FaultPlan};
+use imcf_chaos::BreakerState;
 use imcf_core::attribution::OwnerStats;
 use imcf_core::calendar::PaperCalendar;
 use imcf_core::candidate::{CandidateRule, PlanningSlot};
@@ -146,8 +144,6 @@ struct ObsSampler {
 pub struct Deployment {
     /// The controller every tick runs through.
     pub controller: LocalController,
-    /// The fault plan and the bus subscriber it stalls.
-    chaos: Option<(FaultPlan, Receiver<Event>)>,
     /// The checkpoint table, the interval, and the watchdog.
     checkpoints: Option<(SharedTable<ControllerCheckpoint>, u64, TickWatchdog)>,
     obs: Option<ObsSampler>,
@@ -162,21 +158,11 @@ impl Deployment {
     pub fn new(controller: LocalController) -> Deployment {
         Deployment {
             controller,
-            chaos: None,
             checkpoints: None,
             obs: None,
             owners: OwnerStats::default(),
             checkpoints_written: 0,
         }
-    }
-
-    /// Injects `plan`'s device faults, and subscribes a bus consumer that
-    /// drains every tick but the plan's stall ticks, so backlog builds and
-    /// must be absorbed without blocking publishers.
-    pub fn with_chaos(mut self, plan: FaultPlan) -> Deployment {
-        self.controller.attach_chaos(plan.clone());
-        self.chaos = Some((plan, self.controller.bus().subscribe()));
-        self
     }
 
     /// Checkpoints to `table` every `every` ticks (0: never mid-run) and
@@ -298,14 +284,6 @@ impl Deployment {
                         .filter(|(_, edge)| *edge != Transition::ToPending)
                         .map(|(rule, edge)| format!("alert.{}({rule})", edge.label())),
                 );
-            }
-            if let Some((plan, rx)) = &self.chaos {
-                if plan.bus_stalled(h) {
-                    out.stalled_ticks += 1;
-                } else {
-                    out.max_bus_backlog = out.max_bus_backlog.max(rx.len() as u64);
-                    for _ in rx.try_iter() {}
-                }
             }
             if let Some((table, every, _)) = &self.checkpoints {
                 if *every > 0 && (h + 1) % every == 0 && h + 1 < ticks.end {

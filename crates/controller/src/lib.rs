@@ -10,20 +10,19 @@
 //!   semantics);
 //! * [`api`] — the openHAB-style REST query/command surface; `imcf-net`
 //!   serves it over HTTP and stands in for Fig. 3's Cloud Controller (CC);
-//! * [`bus`] — the event bus connecting APP/CC/LC components;
 //! * [`config`] — the persistent resident/MRT configuration (the paper's
 //!   MariaDB layer);
 //! * [`controller`] — the IMCF orchestration loop: AP → EP → translate the
 //!   plan into admit/block decisions → actuate through the device registry;
 //! * [`deployment`] — the one driver that ticks a controller, with opt-in
-//!   chaos, checkpoint and obs attachments; its one tick per simulated
-//!   hour stands in for the paper's cron job that fires the EP;
+//!   checkpoint and obs attachments; its one tick per simulated hour
+//!   stands in for the paper's cron job that fires the EP;
 //! * [`prototype`] — the week-long three-resident prototype deployment
 //!   (paper §III-F, Tables IV and V), a projection of one deployment run;
 //! * [`soak`] — the chaos soak harness: a deployment under an
-//!   `imcf-chaos` fault plan (device faults, plus sensor outages and bus
-//!   stalls when configured), optionally journaled to the command journal
-//!   with the plan's store faults on its WAL, reporting what survived;
+//!   `imcf-chaos` fault plan (device faults, plus sensor outages when
+//!   configured), optionally journaled to the command journal with the
+//!   plan's store faults on its WAL, reporting what survived;
 //! * [`recovery`] — checkpoint/restore plus the exactly-once command
 //!   journal, and the recoverable run `imcf chaos --crash` kills and
 //!   restarts;
@@ -31,7 +30,6 @@
 //!   `controller.watchdog_trips` and the flight recorder.
 
 pub mod api;
-pub mod bus;
 pub mod config;
 pub mod controller;
 pub mod deployment;
@@ -41,7 +39,6 @@ pub mod recovery;
 pub mod soak;
 pub mod supervisor;
 
-pub use bus::{Event, EventBus};
 pub use controller::{
     ControllerCheckpoint, ControllerConfig, ControllerError, LocalController, TickSummary,
 };

@@ -83,12 +83,12 @@ pub struct CommandRecord {
 
 /// The exactly-once command journal: an append-only WAL-backed [`Log`]
 /// plus the in-memory dedup indexes rebuilt from it on open. It holds no
-/// rows: a record is folded into the indexes as it is replayed or
-/// appended.
+/// rows and no wire strings: a record is folded into the id indexes as it
+/// is replayed or appended.
 pub struct CommandJournal {
     log: Log<JournalRecord>,
-    /// Delivered command ids → their wire form (the dedup set).
-    delivered: BTreeMap<u64, String>,
+    /// Delivered command ids (the dedup set).
+    delivered: BTreeSet<u64>,
     /// Every journaled command id, delivered or failed — duplicate
     /// appends are suppressed against this.
     recorded: BTreeSet<u64>,
@@ -109,7 +109,7 @@ impl CommandJournal {
         dir: &Path,
         registry: &DeviceRegistry,
     ) -> Result<(CommandJournal, u64), ControllerError> {
-        let mut delivered = BTreeMap::new();
+        let mut delivered = BTreeSet::new();
         let mut recorded = BTreeSet::new();
         let mut sealed = BTreeSet::new();
         let mut replayed = 0;
@@ -119,11 +119,11 @@ impl CommandJournal {
             }
             Change::Put(_, JournalRecord::Command(cmd)) => {
                 recorded.insert(cmd.command_id);
-                if let Some(wire) = cmd.wire {
+                if cmd.wire.is_some() {
                     if registry.apply_replayed(&cmd.command).is_ok() {
                         replayed += 1;
                     }
-                    delivered.insert(cmd.command_id, wire);
+                    delivered.insert(cmd.command_id);
                 }
             }
             // The journal only appends.
@@ -143,11 +143,6 @@ impl CommandJournal {
     /// through [`FaultPlan::wal_fault_hook`].
     pub fn inject_store_faults(&mut self, plan: &FaultPlan) {
         self.log.set_wal_fault_hook(plan.wal_fault_hook());
-    }
-
-    /// Journal rows currently readable (commands + tick seals).
-    pub fn rows(&self) -> u64 {
-        self.log.len() as u64
     }
 
     /// Count of distinct delivered command ids.
@@ -171,15 +166,9 @@ impl CommandJournal {
         self.deduped
     }
 
-    /// The delivered command ids, sorted.
-    pub fn delivered_ids(&self) -> Vec<u64> {
-        self.delivered.keys().copied().collect()
-    }
-
-    /// The wire form of an already-delivered command, if the journal
-    /// acknowledges `command_id`.
-    pub fn delivered_wire(&self, command_id: u64) -> Option<String> {
-        self.delivered.get(&command_id).cloned()
+    /// Whether the journal acknowledges `command_id` as delivered.
+    pub(crate) fn is_delivered(&self, command_id: u64) -> bool {
+        self.delivered.contains(&command_id)
     }
 
     pub(crate) fn note_deduped(&mut self) {
@@ -200,7 +189,7 @@ impl CommandJournal {
         if !self.recorded.insert(command_id) {
             return Ok(());
         }
-        self.delivered.insert(command_id, wire.to_string());
+        self.delivered.insert(command_id);
         self.log.insert(&JournalRecord::Command(CommandRecord {
             command_id,
             hour_index,
@@ -493,8 +482,8 @@ pub fn run_recoverable(
     for h in 0..opened.start_tick {
         slots.slot(h);
     }
+    opened.controller.attach_chaos(config.plan.clone());
     let mut deployment = Deployment::new(opened.controller)
-        .with_chaos(config.plan.clone())
         .with_checkpoints(opened.checkpoints, config.checkpoint_every);
     let out = deployment.run(opened.start_tick..config.ticks, &zones, |h| slots.slot(h))?;
 

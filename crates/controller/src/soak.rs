@@ -2,10 +2,9 @@
 //! an [`imcf_chaos::FaultPlan`].
 //!
 //! The soak drives a [`Deployment`] with the plan's device-command faults
-//! injected through the registry, a bus subscriber that stalls on the
-//! plan's stall ticks (only when the plan sets a stall rate), and, when
-//! configured, sensor freezes through an
-//! [`imcf_traces::outage::OutagePlan`]; then it reports what survived.
+//! injected through the registry and, when configured, sensor freezes
+//! through an [`imcf_traces::outage::OutagePlan`]; then it reports what
+//! survived.
 //! Given a directory, it also attaches the exactly-once command journal
 //! (the one journal `imcf chaos --crash` audits), fails its WAL
 //! operations per the plan's store rate, tears its tail per the plan and
@@ -105,10 +104,6 @@ pub struct SoakOutcome {
     /// Every firing and resolved alert edge the obs plane took, in order,
     /// rendered `alert.<to>(<rule>)` — e.g. `alert.firing(breaker.open.storm)`.
     pub alert_events: Vec<String>,
-    /// Ticks during which the chaos subscriber stalled (did not drain).
-    pub stalled_ticks: u64,
-    /// Worst bus backlog observed at a drain point.
-    pub max_bus_backlog: u64,
     /// Energy delivered over the run, kWh.
     pub energy_kwh: f64,
     /// Aggregate convenience error, percent (prototype-style attribution:
@@ -166,7 +161,8 @@ pub fn run_soak(config: &SoakConfig, journal_dir: Option<&Path>) -> SoakOutcome 
             }
         }
     }
-    let mut deployment = Deployment::new(controller).with_chaos(config.plan.clone());
+    controller.attach_chaos(config.plan.clone());
+    let mut deployment = Deployment::new(controller);
     if config.obs_capacity > 0 {
         deployment = deployment.with_obs(config.obs_capacity);
     }

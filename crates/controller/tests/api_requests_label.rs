@@ -26,7 +26,7 @@ fn one_request_counts_once_under_its_status_class() {
             .get()
     };
     let before = requests_2xx();
-    assert_eq!(router.handle("GET /rest/items").status, 200);
+    assert_eq!(router.handle("GET", "/rest/items", "").status, 200);
     let after = requests_2xx();
     assert_eq!(after, before + 1);
 }

@@ -186,36 +186,6 @@ fn a_second_soak_into_a_journaled_directory_is_refused() {
 }
 
 #[test]
-fn bus_stalls_build_backlog_and_change_nothing_else() {
-    let config = |plan| SoakConfig {
-        seed: 2,
-        ticks: 168,
-        zones: 3,
-        plan,
-        ..SoakConfig::default()
-    };
-    let flowing = run_soak(&config(FaultPlan::commands(2, 0.1)), None);
-    let stalled_plan = FaultPlan::commands(2, 0.1).with_bus_stalls(0.3);
-    let stalled = run_soak(&config(stalled_plan.clone()), None);
-
-    assert_eq!(flowing.stalled_ticks, 0, "{flowing:?}");
-    assert!(stalled.stalled_ticks > 0, "{stalled:?}");
-    assert!(
-        stalled.max_bus_backlog > flowing.max_bus_backlog,
-        "stalled backlog {} vs flowing {}",
-        stalled.max_bus_backlog,
-        flowing.max_bus_backlog
-    );
-    let bus_fields_reset = |out: &SoakOutcome| SoakOutcome {
-        stalled_ticks: 0,
-        max_bus_backlog: 0,
-        ..out.clone()
-    };
-    assert_eq!(bus_fields_reset(&stalled), bus_fields_reset(&flowing));
-    assert_eq!(run_soak(&config(stalled_plan), None), stalled);
-}
-
-#[test]
 fn composed_outage_and_fault_scenario_keeps_fce_bounded() {
     // Satellite 4: sensor outages (frozen readings) composed with command
     // and store faults. The degraded-mode planner keeps convenience error

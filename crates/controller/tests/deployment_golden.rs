@@ -37,7 +37,7 @@ fn soak_with_command_and_store_faults_is_pinned() {
         plan: FaultPlan::commands(1, 0.2).with_store_faults(0.1),
         ..SoakConfig::default()
     };
-    assert_eq!(pin(&run_soak(&config, None)), "f92ada4aa7699577");
+    assert_eq!(pin(&run_soak(&config, None)), "9188224b4f7d6d62");
 }
 
 #[test]
@@ -50,7 +50,7 @@ fn soak_with_sensor_outages_is_pinned() {
         outage_rate_per_week: 2.0,
         ..SoakConfig::default()
     };
-    assert_eq!(pin(&run_soak(&config, None)), "d2f89fe5ee67bc71");
+    assert_eq!(pin(&run_soak(&config, None)), "004413b7bc6f01cc");
 }
 
 #[test]
@@ -62,12 +62,12 @@ fn soak_with_and_without_the_obs_plane_is_pinned() {
         plan: FaultPlan::commands(29, 0.3),
         ..SoakConfig::default()
     };
-    assert_eq!(pin(&run_soak(&config, None)), "4b360a1b13a0e09e");
+    assert_eq!(pin(&run_soak(&config, None)), "43d48a705bdaeca9");
     let dark = SoakConfig {
         obs_capacity: 0,
         ..config
     };
-    assert_eq!(pin(&run_soak(&dark, None)), "b6e3196fb651105f");
+    assert_eq!(pin(&run_soak(&dark, None)), "3c5c90bc0e858158");
 }
 
 #[test]
@@ -84,7 +84,7 @@ fn journaled_soak_with_a_torn_tail_is_pinned() {
     assert!(out.torn_reopen, "{out:?}");
     assert_eq!(out.journal_rows, 297);
     assert_eq!(out.storage_errors, 529);
-    assert_eq!(pin(&out), "e35deb1ec23e0551");
+    assert_eq!(pin(&out), "14697d34390d4664");
 }
 
 fn faulty_recovery(ticks: u64) -> RecoveryConfig {

@@ -32,9 +32,9 @@ fn metrics_endpoint_reports_scenario_counters() {
         Arc::new(Mutex::new(EnergyMeter::new(PaperCalendar::january_start()))),
     );
     // A first request registers `api.requests` before the scrape.
-    assert_eq!(router.handle("GET /rest/items").status, 200);
+    assert_eq!(router.handle("GET", "/rest/items", "").status, 200);
 
-    let resp = router.handle("GET /rest/metrics");
+    let resp = router.handle("GET", "/rest/metrics", "");
     assert_eq!(resp.status, 200);
     assert_eq!(
         resp.content_type, "text/plain; version=0.0.4",
@@ -58,7 +58,7 @@ fn metrics_endpoint_reports_scenario_counters() {
     assert!(resp.body.contains("firewall_verdicts{verdict=\"accept\"}"));
 
     // The JSON variant parses and carries the same metric names.
-    let json = router.handle("GET /rest/metrics?format=json");
+    let json = router.handle("GET", "/rest/metrics?format=json", "");
     assert_eq!(json.status, 200);
     assert_eq!(json.content_type, "application/json");
     let value: serde_json::Value = serde_json::from_str(&json.body).expect("valid JSON snapshot");

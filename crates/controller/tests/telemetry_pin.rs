@@ -6,9 +6,7 @@
 //! tick a manual setpoint goes to every zone's HVAC through the registry,
 //! the REST write path, so both firewall verdicts are hit. Every counter
 //! and gauge is pinned by name, labels and value, and every histogram by
-//! its sample count: histogram sums are wall-clock time and stay out. The
-//! bus has one subscriber that is never drained, so `bus.subscriber_lag`
-//! counts every event published.
+//! its sample count: histogram sums are wall-clock time and stay out.
 //!
 //! The metrics live in the process-global registry, so this test is a
 //! binary of its own: nothing else registers or counts in its process.
@@ -60,7 +58,6 @@ fn a_faulted_run_exports_the_pinned_metrics() {
     )
     .unwrap();
     controller.attach_chaos(FaultPlan::commands(SEED, FAULT_RATE));
-    let _undrained = controller.bus().subscribe();
     let mut slots = ZoneSlots::new(SEED, &zones, WEEKLY_BUDGET_KWH, None);
     let registry = controller.registry();
     let (mut delivered, mut retried, mut failed, mut quarantined, mut dropped) = (0, 0, 0, 0, 0);
@@ -99,12 +96,6 @@ counter actuation.gave_up{} 30
 counter actuation.retries{} 267
 counter breaker.open{} 2
 gauge breaker.open_now{} 0
-counter bus.published{event=command_delivered} 443
-counter bus.published{event=command_failed} 30
-counter bus.published{event=plan_computed} 48
-counter bus.published{event=tick_completed} 48
-gauge bus.subscriber_lag{} 569
-gauge bus.subscribers{} 1
 counter chaos.faults_injected{kind=cmd_delay} 57
 counter chaos.faults_injected{kind=cmd_drop} 120
 counter chaos.faults_injected{kind=cmd_stuck} 216

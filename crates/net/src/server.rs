@@ -328,16 +328,12 @@ fn respond(request: &Request, shared: &Shared) -> Response {
         }
     }
     let body = String::from_utf8_lossy(&request.body);
-    let body = body.trim();
-    let line = if body.is_empty() {
-        format!("{} {}", request.method, request.target)
-    } else {
-        format!("{} {} {}", request.method, request.target, body)
-    };
     // Server-side handling latency feeds the obs plane's p99 SLO alert
     // (`net.request_micros.p99_slo` over the sampled histogram).
     let watch = imcf_telemetry::Stopwatch::start();
-    let response = shared.router.handle(&line);
+    let response = shared
+        .router
+        .handle(&request.method, &request.target, &body);
     imcf_telemetry::global()
         .histogram("net.request_micros")
         .observe(watch.elapsed_micros() as f64);

@@ -83,24 +83,6 @@ pub const METRICS: &[MetricDef] = &[
         help: "circuit breakers currently open",
     },
     MetricDef {
-        name: "bus.published",
-        kind: MetricKind::Counter,
-        labels: &["event"],
-        help: "events published on the controller bus by kind",
-    },
-    MetricDef {
-        name: "bus.subscriber_lag",
-        kind: MetricKind::Gauge,
-        labels: &[],
-        help: "depth of the most backlogged bus subscriber queue",
-    },
-    MetricDef {
-        name: "bus.subscribers",
-        kind: MetricKind::Gauge,
-        labels: &[],
-        help: "live bus subscriber count",
-    },
-    MetricDef {
         name: "chaos.faults_injected",
         kind: MetricKind::Counter,
         labels: &["kind"],

@@ -89,7 +89,7 @@ fn prometheus_output_parses_line_by_line() {
     registry
         .counter_with("firewall.verdicts", &[("verdict", "drop")])
         .add(3);
-    registry.gauge("bus.subscriber_lag").set(2.5);
+    registry.gauge("breaker.open_now").set(2.5);
     let h = registry.histogram("planner.slot_micros");
     h.observe(12.0);
     h.observe(80_000.0);

@@ -1,11 +1,11 @@
 //! Drive the full Local Controller for one simulated day and watch the
 //! meta-control firewall work: plans become ACCEPT/DROP chains, adopted
-//! rules actuate devices, and everything is observable on the event bus
-//! and persisted through the embedded store.
+//! rules actuate devices, and each tick's summary is printed and persisted
+//! through the embedded store.
 //!
 //! Run with: `cargo run --release --example firewall_inspector`
 
-use imcf::controller::{ControllerConfig, Event, LocalController};
+use imcf::controller::{ControllerConfig, LocalController};
 use imcf::core::calendar::PaperCalendar;
 use imcf::core::{AmortizationPlan, ApKind};
 use imcf::sim::{Dataset, DatasetKind, SlotBuilder};
@@ -33,7 +33,6 @@ fn main() {
         &zones,
     )
     .unwrap();
-    let events = controller.bus().subscribe();
 
     // Persist tick summaries like the paper's MariaDB layer would. Start
     // from a clean slate: a `ticks` table left by an older build may use
@@ -48,9 +47,11 @@ fn main() {
     // Pick a January day (the trace starts in October).
     let day_start = 3 * imcf::core::calendar::HOURS_PER_MONTH + 10 * 24;
     println!("=== one winter day through the controller ===\n");
+    let mut delivered = 0;
     for slot in builder.range(day_start..day_start + 24) {
         let hour = slot.hour_index % 24;
         let summary = controller.tick_with_errors(&slot).0;
+        delivered += summary.delivered;
         ticks.insert(summary.clone()).expect("tick persists");
         if !slot.is_empty() {
             println!(
@@ -73,11 +74,7 @@ fn main() {
     }
     ticks.snapshot().expect("snapshot persists");
 
-    let delivered = events
-        .try_iter()
-        .filter(|e| matches!(e, Event::CommandDelivered { .. }))
-        .count();
-    println!("\nevent bus saw {delivered} delivered commands");
+    println!("\nthe day's ticks delivered {delivered} commands");
     println!(
         "day total: {:.2} kWh metered",
         controller.meter().total_kwh()

@@ -28,15 +28,16 @@ pub struct ChaCha8Rng {
 }
 
 #[inline(always)]
-fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    s[a] = s[a].wrapping_add(s[b]);
-    s[d] = (s[d] ^ s[a]).rotate_left(16);
-    s[c] = s[c].wrapping_add(s[d]);
-    s[b] = (s[b] ^ s[c]).rotate_left(12);
-    s[a] = s[a].wrapping_add(s[b]);
-    s[d] = (s[d] ^ s[a]).rotate_left(8);
-    s[c] = s[c].wrapping_add(s[d]);
-    s[b] = (s[b] ^ s[c]).rotate_left(7);
+fn quarter_round(mut a: u32, mut b: u32, mut c: u32, mut d: u32) -> (u32, u32, u32, u32) {
+    a = a.wrapping_add(b);
+    d = (d ^ a).rotate_left(16);
+    c = c.wrapping_add(d);
+    b = (b ^ c).rotate_left(12);
+    a = a.wrapping_add(b);
+    d = (d ^ a).rotate_left(8);
+    c = c.wrapping_add(d);
+    b = (b ^ c).rotate_left(7);
+    (a, b, c, d)
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -48,24 +49,34 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 impl ChaCha8Rng {
+    /// Computes the block at the current counter and advances it. The
+    /// rounds run on sixteen local words, which the compiler can keep in
+    /// registers: `self` is read once for the input and written once for
+    /// the output.
     fn refill(&mut self) {
-        let mut working = self.state;
+        let s = self.state;
+        let (mut x0, mut x1, mut x2, mut x3) = (s[0], s[1], s[2], s[3]);
+        let (mut x4, mut x5, mut x6, mut x7) = (s[4], s[5], s[6], s[7]);
+        let (mut x8, mut x9, mut x10, mut x11) = (s[8], s[9], s[10], s[11]);
+        let (mut x12, mut x13, mut x14, mut x15) = (s[12], s[13], s[14], s[15]);
         for _ in 0..CHACHA_ROUNDS / 2 {
             // Column round.
-            quarter_round(&mut working, 0, 4, 8, 12);
-            quarter_round(&mut working, 1, 5, 9, 13);
-            quarter_round(&mut working, 2, 6, 10, 14);
-            quarter_round(&mut working, 3, 7, 11, 15);
+            (x0, x4, x8, x12) = quarter_round(x0, x4, x8, x12);
+            (x1, x5, x9, x13) = quarter_round(x1, x5, x9, x13);
+            (x2, x6, x10, x14) = quarter_round(x2, x6, x10, x14);
+            (x3, x7, x11, x15) = quarter_round(x3, x7, x11, x15);
             // Diagonal round.
-            quarter_round(&mut working, 0, 5, 10, 15);
-            quarter_round(&mut working, 1, 6, 11, 12);
-            quarter_round(&mut working, 2, 7, 8, 13);
-            quarter_round(&mut working, 3, 4, 9, 14);
+            (x0, x5, x10, x15) = quarter_round(x0, x5, x10, x15);
+            (x1, x6, x11, x12) = quarter_round(x1, x6, x11, x12);
+            (x2, x7, x8, x13) = quarter_round(x2, x7, x8, x13);
+            (x3, x4, x9, x14) = quarter_round(x3, x4, x9, x14);
         }
-        for (out, inp) in working.iter_mut().zip(self.state.iter()) {
-            *out = out.wrapping_add(*inp);
+        let working = [
+            x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15,
+        ];
+        for ((out, w), inp) in self.block.iter_mut().zip(working).zip(s) {
+            *out = w.wrapping_add(inp);
         }
-        self.block = working;
         self.word = 0;
         // 64-bit block counter in words 12/13.
         let (lo, carry) = self.state[12].overflowing_add(1);
@@ -110,9 +121,19 @@ impl RngCore for ChaCha8Rng {
     }
 
     fn next_u64(&mut self) -> u64 {
-        let lo = self.next_u32() as u64;
-        let hi = self.next_u32() as u64;
-        (hi << 32) | lo
+        if self.word >= 16 {
+            self.refill();
+        }
+        // Both words in this block: read them at once. At word 15 the low
+        // word ends this block and the high word starts the next.
+        let (lo, hi) = if self.word < 15 {
+            let pair = (self.block[self.word], self.block[self.word + 1]);
+            self.word += 2;
+            pair
+        } else {
+            (self.next_u32(), self.next_u32())
+        };
+        (u64::from(hi) << 32) | u64::from(lo)
     }
 }
 

@@ -89,9 +89,10 @@ pub struct CommandJournal {
     log: Log<JournalRecord>,
     /// Delivered command ids (the dedup set).
     delivered: BTreeSet<u64>,
-    /// Every journaled command id, delivered or failed — duplicate
-    /// appends are suppressed against this.
-    recorded: BTreeSet<u64>,
+    /// Ids journaled as permanently failed and never delivered: disjoint
+    /// from `delivered`, so each journaled id is held once. Duplicate
+    /// appends are suppressed against both sets.
+    failed: BTreeSet<u64>,
     /// Hour indexes already sealed with a [`JournalRecord::Tick`] row.
     sealed: BTreeSet<u64>,
     /// Commands skipped (not re-actuated) because the journal already
@@ -110,7 +111,7 @@ impl CommandJournal {
         registry: &DeviceRegistry,
     ) -> Result<(CommandJournal, u64), ControllerError> {
         let mut delivered = BTreeSet::new();
-        let mut recorded = BTreeSet::new();
+        let mut failed = BTreeSet::new();
         let mut sealed = BTreeSet::new();
         let mut replayed = 0;
         let log = Log::open(dir, JOURNAL_TABLE, |change| match change {
@@ -118,12 +119,15 @@ impl CommandJournal {
                 sealed.insert(summary.hour_index);
             }
             Change::Put(_, JournalRecord::Command(cmd)) => {
-                recorded.insert(cmd.command_id);
                 if cmd.wire.is_some() {
                     if registry.apply_replayed(&cmd.command).is_ok() {
                         replayed += 1;
                     }
+                    // A delivered row wins over a failed row for its id.
+                    failed.remove(&cmd.command_id);
                     delivered.insert(cmd.command_id);
+                } else if !delivered.contains(&cmd.command_id) {
+                    failed.insert(cmd.command_id);
                 }
             }
             // The journal only appends.
@@ -132,7 +136,7 @@ impl CommandJournal {
         let journal = CommandJournal {
             log,
             delivered,
-            recorded,
+            failed,
             sealed,
             deduped: 0,
         };
@@ -152,7 +156,7 @@ impl CommandJournal {
 
     /// Count of distinct command ids journaled as permanently failed.
     pub fn failed_count(&self) -> u64 {
-        (self.recorded.len() - self.delivered.len()) as u64
+        self.failed.len() as u64
     }
 
     /// Count of sealed (fully journaled + fsynced) ticks.
@@ -175,6 +179,11 @@ impl CommandJournal {
         self.deduped += 1;
     }
 
+    /// Whether `command_id` has a row already, delivered or failed.
+    fn is_journaled(&self, command_id: u64) -> bool {
+        self.delivered.contains(&command_id) || self.failed.contains(&command_id)
+    }
+
     pub(crate) fn record_delivered(
         &mut self,
         command_id: u64,
@@ -186,7 +195,7 @@ impl CommandJournal {
         // An id already journaled by a previous incarnation (an append
         // that survived the crash without its fsync) must not be
         // journaled twice.
-        if !self.recorded.insert(command_id) {
+        if self.is_journaled(command_id) {
             return Ok(());
         }
         self.delivered.insert(command_id);
@@ -209,9 +218,10 @@ impl CommandJournal {
         attempts: u32,
         reason: &str,
     ) -> Result<(), ControllerError> {
-        if !self.recorded.insert(command_id) {
+        if self.is_journaled(command_id) {
             return Ok(());
         }
+        self.failed.insert(command_id);
         self.log.insert(&JournalRecord::Command(CommandRecord {
             command_id,
             hour_index,
@@ -624,6 +634,55 @@ mod tests {
             serde_json::to_string(&second.digest).unwrap(),
             serde_json::to_string(&first.digest).unwrap()
         );
+    }
+
+    #[test]
+    fn each_journaled_id_sits_in_one_set_and_a_delivered_row_wins() {
+        use imcf_devices::channel::ChannelUid;
+        use imcf_devices::command::CommandPayload;
+
+        let dir = tempfile::tempdir().unwrap();
+        let registry = DeviceRegistry::new();
+        let channel = ChannelUid::parse("imcf:hvac:den:power").unwrap();
+        let command = Command::binding(channel, CommandPayload::Power(true));
+        let row = |command_id, wire: Option<&str>| {
+            JournalRecord::Command(CommandRecord {
+                command_id,
+                hour_index: 0,
+                command: command.clone(),
+                wire: wire.map(str::to_string),
+                attempts: 1,
+                reason: wire.is_none().then(|| "gave up".to_string()),
+            })
+        };
+        // Rows the journal would refuse to write: id 1 fails and is then
+        // delivered, id 2 is delivered and then fails. Id 3 only fails.
+        let mut log = Log::open(dir.path(), JOURNAL_TABLE, |_| {}).unwrap();
+        for (id, wire) in [
+            (1, None),
+            (1, Some("on")),
+            (2, Some("on")),
+            (2, None),
+            (3, None),
+        ] {
+            log.insert(&row(id, wire)).unwrap();
+        }
+        drop(log);
+
+        let (mut journal, _) = CommandJournal::open(dir.path(), &registry).unwrap();
+        assert_eq!((journal.delivered_count(), journal.failed_count()), (2, 1));
+        assert!(journal.is_delivered(1) && journal.is_delivered(2) && !journal.is_delivered(3));
+        // An id in either set gets no second row.
+        journal.record_delivered(3, 1, &command, "on", 1).unwrap();
+        journal.record_failed(1, 1, &command, 3, "gave up").unwrap();
+        // A new id lands in one set, and then the other refuses it.
+        journal.record_failed(4, 1, &command, 3, "gave up").unwrap();
+        journal.record_delivered(4, 1, &command, "on", 1).unwrap();
+        journal.record_delivered(5, 1, &command, "on", 1).unwrap();
+        journal.record_failed(5, 1, &command, 3, "gave up").unwrap();
+        assert_eq!((journal.delivered_count(), journal.failed_count()), (3, 2));
+        drop(journal);
+        assert_eq!(audit_journal(dir.path()).unwrap().rows, 7);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! * [`Pricing`] is the one action pricer, the device models behind `e_j`;
 //! * [`candidate`] is the one translation of a rule plus the hour's ambient
 //!   values into a [`CandidateRule`];
-//! * [`mr_ecp`] is the one MR (execute-everything) ECP derivation.
+//! * [`mr_ecp`] is the one MR (execute-everything) ECP derivation, which
+//!   prices every (zone, hour) from the tables compiled once more through
+//!   the pricer.
 //!
 //! For every hour of a dataset's horizon, [`SlotBuilder`] materializes the
 //! [`PlanningSlot`] the Energy Planner (and the baselines) consume: one
@@ -113,21 +115,97 @@ pub fn candidate(
     })
 }
 
+/// One active rule's share of an hour's MR cost, compiled once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Term {
+    /// An HVAC setpoint, priced against the hour's temperature.
+    Hvac(f64),
+    /// The kWh of a rule whose cost reads no ambient value: a lamp's (the
+    /// light model ignores daylight) or a budget row's (nothing).
+    Fixed(f64),
+}
+
+impl Term {
+    /// `action`'s term under `pricing`. A fixed cost is priced at NaN
+    /// ambient values, so a device model that read them would poison the
+    /// profile instead of shifting it.
+    fn compile(action: &Action, pricing: &Pricing) -> Term {
+        match *action {
+            Action::SetTemperature(setpoint) => Term::Hvac(setpoint),
+            Action::SetLight(_) | Action::SetKwhLimit(_) => {
+                Term::Fixed(pricing.kwh(action, f64::NAN, f64::NAN))
+            }
+        }
+    }
+
+    /// The term's kWh while the zone's temperature is `temp`: the value
+    /// [`Pricing::kwh`] gives its action at that temperature.
+    fn kwh(self, hvac: &HvacModel, temp: f64) -> f64 {
+        match self {
+            Term::Hvac(setpoint) => hvac.hourly_kwh(setpoint, temp),
+            Term::Fixed(kwh) => kwh,
+        }
+    }
+}
+
+/// Every zone's [`HourTables`] compiled once through a [`Pricing`] for
+/// [`mr_ecp`]: each (zone, hour of day) holds its active rules' terms in
+/// table order, so pricing a pair follows no rule and reads only the
+/// zone's temperature.
+struct EcpProgram {
+    hvac: HvacModel,
+    /// Tables compiled.
+    zones: usize,
+    /// Every (zone, hour of day)'s terms, hour-major.
+    terms: Vec<Term>,
+    /// The terms of pair `hour * zones + zone` are
+    /// `terms[starts[pair]..starts[pair + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl EcpProgram {
+    fn compile(tables: &[HourTables<'_>], pricing: &Pricing) -> Self {
+        let mut terms = Vec::new();
+        let mut starts = vec![0];
+        for hour in 0..24 {
+            for table in tables {
+                let rules = table.at(hour).iter();
+                terms.extend(rules.map(|rule| Term::compile(&rule.action, pricing)));
+                starts.push(terms.len());
+            }
+        }
+        EcpProgram {
+            hvac: pricing.hvac,
+            zones: tables.len(),
+            terms,
+            starts,
+        }
+    }
+
+    /// The MR kWh of `zone` at `hour_of_day` while its temperature is
+    /// `temp`: the rules' terms summed in table order by `Iterator::sum`,
+    /// as pricing each rule through [`Pricing::kwh`] and summing would.
+    fn kwh(&self, zone: usize, hour_of_day: u32, temp: f64) -> f64 {
+        let pair = (hour_of_day % 24) as usize * self.zones + zone;
+        self.terms[self.starts[pair]..self.starts[pair + 1]]
+            .iter()
+            .map(|term| term.kwh(&self.hvac, temp))
+            .sum()
+    }
+}
+
 /// The Energy Consumption Profile of executing every active rule (the MR
 /// schedule) over `trace`, priced by `pricing` — the simulated equivalent
 /// of the sub-metered history behind Table I. `tables[i]` is the compiled
 /// MRT of `trace.zones[i]`; a zone without one consumes nothing.
 pub fn mr_ecp(trace: &Trace, tables: &[HourTables<'_>], pricing: &Pricing) -> Ecp {
-    imcf_traces::ecp::derive_ecp(trace, |i, zone, h| {
-        let Some(table) = tables.get(i) else {
-            return 0.0;
-        };
-        let (temp, light) = (zone.temperature.at(h), zone.light.at(h));
-        table
-            .at(trace.calendar.hour_of_day(h))
-            .iter()
-            .map(|rule| pricing.kwh(&rule.action, temp, light))
-            .sum()
+    let program = EcpProgram::compile(tables, pricing);
+    imcf_traces::ecp::derive_ecp(trace, |i, zone, h, at| {
+        if i < program.zones {
+            program.kwh(i, at.hour, zone.temperature.at(h))
+        } else {
+            0.0
+        }
     })
 }
 
@@ -313,6 +391,58 @@ mod tests {
         assert!(cold > mild);
         assert!(pricing.kwh(&Action::SetLight(40.0), 0.0, 0.0) > 0.0);
         assert_eq!(pricing.kwh(&Action::SetKwhLimit(100.0), 0.0, 0.0), 0.0);
+    }
+
+    #[test]
+    fn the_compiled_ecp_program_prices_as_pricing_does() {
+        let actions = [
+            Action::SetTemperature(16.0),
+            Action::SetTemperature(22.5),
+            Action::SetTemperature(28.0),
+            Action::SetLight(0.0),
+            Action::SetLight(40.0),
+            Action::SetLight(100.0),
+            Action::SetKwhLimit(480_000.0),
+        ];
+        // −10 to 40 °C in quarter degrees.
+        let temps = (-40..=160).map(|quarter| f64::from(quarter) / 4.0);
+        let house = Dataset::build(DatasetKind::House, 3);
+        let tables: Vec<HourTables> = house.zone_mrts.iter().map(HourTables::compile).collect();
+        for kind in DatasetKind::all() {
+            let pricing = Pricing {
+                hvac: HvacModel::split_unit_flat().scaled(kind.hvac_scale()),
+                light: LightModel::led_array(),
+            };
+            let program = EcpProgram::compile(&tables, &pricing);
+            assert_eq!(program.zones, tables.len());
+            for temp in temps.clone() {
+                for light in [0.0, 50.0, 100.0] {
+                    for action in &actions {
+                        let term = Term::compile(action, &pricing).kwh(&pricing.hvac, temp);
+                        let want = pricing.kwh(action, temp, light);
+                        assert_eq!(
+                            term.to_bits(),
+                            want.to_bits(),
+                            "{action:?} at {temp} °C, light {light}"
+                        );
+                    }
+                    for (zone, table) in tables.iter().enumerate() {
+                        for hour in 0..24 {
+                            let want: f64 = table
+                                .at(hour)
+                                .iter()
+                                .map(|rule| pricing.kwh(&rule.action, temp, light))
+                                .sum();
+                            assert_eq!(
+                                program.kwh(zone, hour, temp).to_bits(),
+                                want.to_bits(),
+                                "zone {zone} at {hour}:00, {temp} °C, light {light}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

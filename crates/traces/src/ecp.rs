@@ -7,30 +7,37 @@
 //! Amortization Plan consumes, averaging across the years the trace spans.
 
 use crate::series::{Trace, ZoneTrace};
+use imcf_core::calendar::PaperDateTime;
 use imcf_core::ecp::Ecp;
 
 /// Derives a 12-month ECP from a trace.
 ///
-/// `hourly_kwh(zone_index, zone, hour_index)` estimates the consumption of
-/// `trace.zones[zone_index]` during one hour (e.g. the cost of executing
-/// the MRT rules active then). Months observed multiple times (multi-year
-/// traces) are averaged; months never observed get the overall monthly
-/// mean so the profile stays total-safe.
+/// `hourly_kwh(zone_index, zone, hour_index, at)` estimates the consumption
+/// of `trace.zones[zone_index]` during one hour, `at` being that hour on the
+/// trace's calendar (e.g. the cost of executing the MRT rules active then).
+/// Months observed multiple times (multi-year traces) are averaged; months
+/// never observed get the overall monthly mean so the profile stays
+/// total-safe.
 pub fn derive_ecp<F>(trace: &Trace, hourly_kwh: F) -> Ecp
 where
-    F: Fn(usize, &ZoneTrace, u64) -> f64,
+    F: Fn(usize, &ZoneTrace, u64, PaperDateTime) -> f64,
 {
     let mut sums = [0.0f64; 12];
     let mut hours_seen = [0u64; 12];
     let horizon = trace.horizon_hours();
     // Hour-major, zones in order: this summation order fixes the profile's
-    // bits, which callers pin (imcf-sim's `dataset_golden` test).
+    // bits, which callers pin (imcf-sim's `dataset_golden` test). Each hour
+    // is decomposed once, for all zones. Its month's sum stays in a local
+    // across them: added in place, every add waited on the previous store.
     for h in 0..horizon {
-        let month = trace.calendar.month_of(h) as usize - 1;
+        let at = trace.calendar.decompose(h);
+        let month = at.month as usize - 1;
         hours_seen[month] += 1;
+        let mut sum = sums[month];
         for (i, z) in trace.zones.iter().enumerate() {
-            sums[month] += hourly_kwh(i, z, h);
+            sum += hourly_kwh(i, z, h, at);
         }
+        sums[month] = sum;
     }
     // Convert to a per-month figure: observed total divided by the number of
     // times the month was observed (hours / 744).
@@ -75,7 +82,7 @@ mod tests {
             seed: 0,
         };
         let trace = g.generate(&["flat"]);
-        let ecp = derive_ecp(&trace, |_, _, _| 0.5);
+        let ecp = derive_ecp(&trace, |_, _, _, _| 0.5);
         for m in 1..=12 {
             assert!((ecp.month_kwh(m) - 0.5 * HOURS_PER_MONTH as f64).abs() < 1e-6);
         }
@@ -91,7 +98,7 @@ mod tests {
         };
         let trace = g.generate(&["flat"]);
         // Heating toward 23°C: cost proportional to the deficiency.
-        let ecp = derive_ecp(&trace, |_, z, h| {
+        let ecp = derive_ecp(&trace, |_, z, h, _| {
             (23.0 - z.temperature.at(h)).max(0.0) * 0.05
         });
         assert!(
@@ -112,7 +119,7 @@ mod tests {
             seed: 0,
         };
         let trace = g.generate(&["flat"]);
-        let ecp = derive_ecp(&trace, |_, _, _| 1.0);
+        let ecp = derive_ecp(&trace, |_, _, _, _| 1.0);
         assert!((ecp.month_kwh(3) - HOURS_PER_MONTH as f64).abs() < 1e-6);
     }
 
@@ -126,7 +133,7 @@ mod tests {
             door_open: HourlySeries::new(vec![0.0; HOURS_PER_MONTH as usize]),
         };
         let trace = Trace::new(PaperCalendar::january_start(), vec![zone]);
-        let ecp = derive_ecp(&trace, |_, _, _| 1.0);
+        let ecp = derive_ecp(&trace, |_, _, _, _| 1.0);
         let jan = ecp.month_kwh(1);
         assert!((jan - HOURS_PER_MONTH as f64).abs() < 1e-6);
         // Every other month inherits January's figure (the mean of one).
@@ -143,8 +150,8 @@ mod tests {
             horizon_hours: HOURS_PER_MONTH,
             seed: 0,
         };
-        let one = derive_ecp(&g.generate(&["a"]), |_, _, _| 1.0);
-        let two = derive_ecp(&g.generate(&["a", "b"]), |_, _, _| 1.0);
+        let one = derive_ecp(&g.generate(&["a"]), |_, _, _, _| 1.0);
+        let two = derive_ecp(&g.generate(&["a", "b"]), |_, _, _, _| 1.0);
         assert!((two.month_kwh(1) - 2.0 * one.month_kwh(1)).abs() < 1e-6);
     }
 }

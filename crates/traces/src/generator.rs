@@ -18,7 +18,7 @@
 
 use crate::reading::{SensorKind, SensorReading};
 use crate::series::{HourlySeries, Trace, ZoneTrace};
-use imcf_core::calendar::PaperCalendar;
+use imcf_core::calendar::{PaperCalendar, HOURS_PER_DAY};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -155,6 +155,13 @@ impl TraceGenerator {
     }
 
     /// Generates the hourly series for one zone.
+    ///
+    /// The loop steps by day. Months are whole days and the horizon starts
+    /// at midnight, so each day decomposes once, draws its weather, and
+    /// reads one month's row of the hour table; the last day is partial
+    /// when the horizon ends mid-day. The draws keep one order, which fixes
+    /// the series' bits: the day's anomaly and clouds at midnight, then each
+    /// hour's temperature noise and, in waking hours, its door draws.
     pub fn generate_zone(&self, zone: &str) -> ZoneTrace {
         let mut rng = self.zone_rng(zone);
         let n = self.horizon_hours as usize;
@@ -163,37 +170,34 @@ impl TraceGenerator {
         let mut door = Vec::with_capacity(n);
 
         let mut anomaly = 0.0f64;
-        let mut cloud = 0.8f64;
         // Small fixed per-zone offsets make replicated zones distinct.
         let zone_temp_offset: f64 = rng.gen_range(-0.8..0.8);
         let zone_light_factor: f64 = rng.gen_range(0.85..1.0);
         let hours = self.climate.hour_table();
+        let door_p = (self.climate.door_openings_per_day / 16.0).clamp(0.0, 1.0);
 
-        for h in 0..self.horizon_hours {
-            let dt = self.calendar.decompose(h);
-            if dt.hour == 0 {
-                // New day: evolve the weather anomaly and redraw clouds.
-                let innovation: f64 = rng.gen_range(-1.0..1.0) * self.climate.anomaly_std_c * 1.7;
-                anomaly = self.climate.anomaly_persistence * anomaly + innovation;
-                cloud = rng.gen_range(0.35..1.0f64);
-            }
-            let (outdoor, clear_daylight) = hours[dt.month as usize - 1][dt.hour as usize];
-            let indoor = self.climate.indoor_c(outdoor + anomaly) + zone_temp_offset;
-            temperature.push(indoor + rng.gen_range(-0.2..0.2));
-            let daylight = clear_daylight.map_or(0.0, |l| (l * cloud).clamp(0.0, 100.0));
-            light.push(daylight * zone_light_factor);
-            // Door openings cluster in waking hours (07:00–23:00).
-            let open_frac = if (7..23).contains(&dt.hour) {
-                let p = self.climate.door_openings_per_day / 16.0;
-                if rng.gen_bool(p.clamp(0.0, 1.0)) {
+        for day_start in (0..self.horizon_hours).step_by(HOURS_PER_DAY as usize) {
+            let dt = self.calendar.decompose(day_start);
+            debug_assert_eq!(dt.hour, 0, "days start at midnight");
+            // New day: evolve the weather anomaly and redraw clouds.
+            let innovation: f64 = rng.gen_range(-1.0..1.0) * self.climate.anomaly_std_c * 1.7;
+            anomaly = self.climate.anomaly_persistence * anomaly + innovation;
+            let cloud = rng.gen_range(0.35..1.0f64);
+            let day_hours = (self.horizon_hours - day_start).min(HOURS_PER_DAY) as usize;
+            let row = &hours[dt.month as usize - 1][..day_hours];
+            for (hour, &(outdoor, clear_daylight)) in row.iter().enumerate() {
+                let indoor = self.climate.indoor_c(outdoor + anomaly) + zone_temp_offset;
+                temperature.push(indoor + rng.gen_range(-0.2..0.2));
+                let daylight = clear_daylight.map_or(0.0, |l| (l * cloud).clamp(0.0, 100.0));
+                light.push(daylight * zone_light_factor);
+                // Door openings cluster in waking hours (07:00–23:00).
+                let open_frac = if (7..23).contains(&hour) && rng.gen_bool(door_p) {
                     rng.gen_range(0.02..0.15)
                 } else {
                     0.0
-                }
-            } else {
-                0.0
-            };
-            door.push(open_frac);
+                };
+                door.push(open_frac);
+            }
         }
 
         ZoneTrace {
@@ -248,7 +252,6 @@ impl TraceGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imcf_core::calendar::HOURS_PER_DAY;
 
     fn small_generator() -> TraceGenerator {
         TraceGenerator {

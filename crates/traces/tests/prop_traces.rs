@@ -73,20 +73,31 @@ proptest! {
     }
 
     /// The generator is a pure function of (seed, zone, horizon): equal
-    /// inputs agree, and longer horizons extend shorter ones.
+    /// inputs agree, and longer horizons extend shorter ones in all three
+    /// series, whether the shorter one ends at midnight or mid-day and
+    /// whichever month it starts in.
     #[test]
     fn generator_prefix_stability(seed in 0u64..200) {
-        let make = |hours: u64| TraceGenerator {
-            climate: ClimateModel::mediterranean(),
-            calendar: PaperCalendar::january_start(),
-            horizon_hours: hours,
-            seed,
-        };
-        let short = make(24).generate_zone("z");
-        let long = make(48).generate_zone("z");
-        for h in 0..24 {
-            prop_assert_eq!(short.temperature.at(h), long.temperature.at(h));
-            prop_assert_eq!(short.light.at(h), long.light.at(h));
+        for start_month in [1, 10] {
+            let make = |hours: u64| TraceGenerator {
+                climate: ClimateModel::mediterranean(),
+                calendar: PaperCalendar::starting_in(start_month),
+                horizon_hours: hours,
+                seed,
+            };
+            let long = make(72).generate_zone("z");
+            for hours in [1u64, 7, 23, 25, 47] {
+                let short = make(hours).generate_zone("z");
+                prop_assert_eq!(short.horizon_hours(), hours);
+                let series = [
+                    (&short.temperature, &long.temperature),
+                    (&short.light, &long.light),
+                    (&short.door_open, &long.door_open),
+                ];
+                for (short, long) in series {
+                    prop_assert_eq!(short.values(), &long.values()[..hours as usize]);
+                }
+            }
         }
     }
 

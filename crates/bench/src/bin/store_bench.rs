@@ -1,19 +1,15 @@
-//! Storage engine v2 benchmark: write throughput and recovery time.
+//! Storage engine benchmark: acknowledged write rate and recovery time.
 //!
-//! Three write configurations over the same row shape:
-//!
-//! 1. `single+sync` — one writer, fsync after every insert: the seed
-//!    engine's durability pattern and the baseline;
-//! 2. `multi+direct` — N writers, each fsyncing its own inserts through
-//!    [`imcf_store::SharedTable::sync_direct`] (no batching);
-//! 3. `multi+group` — N writers through group commit
-//!    ([`imcf_store::SharedTable::sync`]): concurrent callers share one
-//!    fsync, which is where the multi-writer speedup comes from.
+//! Every production log (`command_journal`, `checkpoint`, `tsdb`,
+//! `tsdb_meta`) has one writer on one thread, so the write measurement is
+//! that writer: one row-less [`Log`], an fsync after every insert, which is
+//! the acknowledgement point. The number is one writer's acknowledged
+//! inserts per second, bound by the disk's fsync latency.
 //!
 //! The recovery sweep builds tables with growing un-snapshotted WAL tails,
 //! reopens each and times the open (snapshot load + segment replay), then
-//! repeats with the same history *compacted* — recovery cost must track
-//! the replay tail, not total history.
+//! repeats with the same history compacted by [`Table::snapshot`] —
+//! recovery cost must track the replay tail, not total history.
 //!
 //! `--smoke` shrinks every dimension for the CI smoke step. Results land
 //! in `target/experiments/store_bench.json` via the shared harness.
@@ -37,14 +33,12 @@ fn row(i: usize) -> Row {
     }
 }
 
-/// One write-throughput measurement.
+/// One writer's acknowledged-insert measurement.
 #[derive(Debug, Serialize)]
 struct WriteResult {
-    config: String,
-    writers: usize,
     rows: usize,
     micros: u64,
-    ops_per_sec: f64,
+    acked_inserts_per_sec: f64,
 }
 
 /// One recovery measurement.
@@ -59,9 +53,8 @@ struct RecoveryResult {
 #[derive(Debug, Serialize)]
 struct BenchReport {
     smoke: bool,
-    writes: Vec<WriteResult>,
+    write: WriteResult,
     recovery: Vec<RecoveryResult>,
-    group_commit_speedup: f64,
 }
 
 fn die(msg: &str) -> ! {
@@ -91,90 +84,36 @@ fn open_table(dir: &Path) -> Table<Row> {
     }
 }
 
-/// The row-less log group commit writes through.
-fn open_log(dir: &Path) -> Log<Row> {
-    match Log::open_with(dir, "rows", segments(), |_| {}) {
+/// One writer, fsync per insert: every row is acknowledged before the
+/// next is written.
+fn acked_inserts(rows: usize) -> WriteResult {
+    let dir = scratch("write");
+    let mut log: Log<Row> = match Log::open_with(&dir, "rows", segments(), |_| {}) {
         Ok(log) => log,
         Err(e) => die(&format!("open {}: {e}", dir.display())),
-    }
-}
-
-/// One writer, fsync per insert — the seed engine's durability pattern.
-fn single_writer_sync(rows: usize) -> WriteResult {
-    let dir = scratch("single");
-    let mut t = open_table(&dir);
+    };
     let clock = Stopwatch::start();
     for i in 0..rows {
-        if let Err(e) = t.insert(row(i)) {
+        if let Err(e) = log.insert(&row(i)) {
             die(&format!("insert: {e}"));
         }
-        if let Err(e) = t.sync() {
+        if let Err(e) = log.sync() {
             die(&format!("sync: {e}"));
         }
     }
     let micros = clock.elapsed_micros();
     WriteResult {
-        config: "single+sync".into(),
-        writers: 1,
         rows,
         micros,
-        ops_per_sec: ops_per_sec(rows, micros),
+        acked_inserts_per_sec: rows as f64 / (micros.max(1) as f64 / 1_000_000.0),
     }
 }
 
-/// N writers, each acknowledging every row; `group` picks the commit path.
-fn multi_writer(writers: usize, per_writer: usize, group: bool) -> WriteResult {
-    let tag = if group { "group" } else { "direct" };
-    let dir = scratch(tag);
-    let shared = open_log(&dir).into_shared();
-    let clock = Stopwatch::start();
-    std::thread::scope(|s| {
-        for w in 0..writers {
-            let shared = shared.clone();
-            s.spawn(move || {
-                for i in 0..per_writer {
-                    if let Err(e) = shared.insert(row(w * per_writer + i)) {
-                        die(&format!("insert: {e}"));
-                    }
-                    let ack = if group {
-                        shared.sync()
-                    } else {
-                        shared.sync_direct()
-                    };
-                    if let Err(e) = ack {
-                        die(&format!("sync: {e}"));
-                    }
-                }
-            });
-        }
-    });
-    let micros = clock.elapsed_micros();
-    let rows = writers * per_writer;
-    if shared.len() != rows {
-        die(&format!("lost rows: {} of {rows}", shared.len()));
-    }
-    WriteResult {
-        config: format!("multi+{tag}"),
-        writers,
-        rows,
-        micros,
-        ops_per_sec: ops_per_sec(rows, micros),
-    }
-}
-
-fn ops_per_sec(rows: usize, micros: u64) -> f64 {
-    rows as f64 / (micros.max(1) as f64 / 1_000_000.0)
-}
-
-/// Runs a configuration `reps` times and keeps the median-throughput run
-/// (disk-bound measurements are noisy; the median is stable).
+/// Runs the write measurement `reps` times and keeps the median-throughput
+/// run (disk-bound measurements are noisy; the median is stable).
 fn median_of(reps: usize, run: impl Fn() -> WriteResult) -> WriteResult {
     let mut results: Vec<WriteResult> = (0..reps.max(1)).map(|_| run()).collect();
-    results.sort_by(|a, b| {
-        a.ops_per_sec
-            .partial_cmp(&b.ops_per_sec)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    results.sort_by(|a, b| a.acked_inserts_per_sec.total_cmp(&b.acked_inserts_per_sec));
     results.swap_remove(results.len() / 2)
 }
 
@@ -191,8 +130,8 @@ fn recovery_case(history: usize, tail: usize, compacted: bool) -> RecoveryResult
             }
         }
         if compacted {
-            if let Err(e) = t.compact(4) {
-                die(&format!("compact: {e}"));
+            if let Err(e) = t.snapshot() {
+                die(&format!("snapshot: {e}"));
             }
         }
         for i in head..history {
@@ -220,7 +159,7 @@ fn recovery_case(history: usize, tail: usize, compacted: bool) -> RecoveryResult
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (writers, per_writer, single_rows) = if smoke { (8, 8, 64) } else { (64, 32, 2048) };
+    let rows = if smoke { 64 } else { 2048 };
     let recovery_tails: &[usize] = if smoke {
         &[64, 256]
     } else {
@@ -228,28 +167,17 @@ fn main() {
     };
 
     println!(
-        "=== store_bench: segmented group-commit WAL ({} mode) ===\n",
+        "=== store_bench: segmented WAL, one writer per log ({} mode) ===\n",
         if smoke { "smoke" } else { "full" }
     );
 
-    let reps = if smoke { 1 } else { 3 };
-    let single = median_of(reps, || single_writer_sync(single_rows));
-    let direct = median_of(reps, || multi_writer(writers, per_writer, false));
-    let group = median_of(reps, || multi_writer(writers, per_writer, true));
-    let speedup = group.ops_per_sec / single.ops_per_sec.max(f64::MIN_POSITIVE);
-
-    println!("| config        | writers | rows | ops/sec | vs single+sync |");
-    println!("|---------------|---------|------|---------|----------------|");
-    for r in [&single, &direct, &group] {
-        println!(
-            "| {:<13} | {:>7} | {:>4} | {:>7.0} | {:>13.2}x |",
-            r.config,
-            r.writers,
-            r.rows,
-            r.ops_per_sec,
-            r.ops_per_sec / single.ops_per_sec.max(f64::MIN_POSITIVE)
-        );
-    }
+    let write = median_of(if smoke { 1 } else { 3 }, || acked_inserts(rows));
+    println!("| writers | fsyncs | rows | acknowledged inserts/sec |");
+    println!("|---------|--------|------|--------------------------|");
+    println!(
+        "| {:>7} | {:>6} | {:>4} | {:>24.0} |",
+        1, write.rows, write.rows, write.acked_inserts_per_sec
+    );
     println!();
 
     let mut recovery = Vec::new();
@@ -282,16 +210,10 @@ fn main() {
     }
     println!();
 
-    println!("group-commit speedup over single-writer fsync-per-insert: {speedup:.2}x");
-    if !smoke && speedup < 10.0 {
-        println!("warning: expected >= 10x group-commit speedup, measured {speedup:.2}x");
-    }
-
     let report = BenchReport {
         smoke,
-        writes: vec![single, direct, group],
+        write,
         recovery,
-        group_commit_speedup: speedup,
     };
     if let Err(e) = write_artifacts("store_bench", &report) {
         eprintln!("warning: could not write artifacts: {e}");

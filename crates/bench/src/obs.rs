@@ -59,13 +59,11 @@ pub fn synthetic_tick(registry: &Registry, seed: u64, tick: u64) {
         .observe(latency * 3.0);
 }
 
-/// Builds the engine a cell uses: in-memory, alert rules on, persistence
-/// off, raw ring sized by the cell.
+/// Builds the engine a cell uses: in-memory (so nothing persists), alert
+/// rules on, raw ring sized by the cell.
 pub fn cell_engine(cell: ObsCell) -> ObsEngine {
     let config = ObsConfig {
         capacity: cell.capacity,
-        persist_every: 0,
-        ..ObsConfig::default()
     };
     ObsEngine::in_memory(config, default_rules())
         .unwrap_or_else(|e| panic!("default rules must validate: {e}"))

@@ -34,8 +34,9 @@ const DOMAIN_CRASH: u64 = 0x00C0_FFEE_0005;
 /// process aborts).
 pub const CRASHPOINT_ENV: &str = "IMCF_CRASHPOINT";
 
-/// The catalog of named crashpoint sites, in controller / store / commit
-/// order. Adding a site here makes it eligible for seeded selection.
+/// The catalog of named crashpoint sites, in controller / journal /
+/// checkpoint order. Adding a site here makes it eligible for seeded
+/// selection.
 pub const CRASH_SITES: &[&str] = &[
     // Controller tick path.
     "controller.tick.pre_plan",
@@ -44,7 +45,7 @@ pub const CRASH_SITES: &[&str] = &[
     // right after it — the torn-tail and the just-acknowledged cases).
     "journal.pre_sync",
     "journal.post_sync",
-    // Checkpoint path (around the group-commit durability point).
+    // Checkpoint path (around its fsync, the durability point).
     "checkpoint.pre_sync",
     "checkpoint.post_sync",
 ];

@@ -25,7 +25,7 @@ use imcf_rules::meta_rule::RuleId;
 use imcf_sim::illuminance::RoomLight;
 use imcf_sim::thermal::RoomThermalModel;
 use imcf_sim::weather::WeatherApi;
-use imcf_store::commit::SharedTable;
+use imcf_store::SharedTable;
 use imcf_telemetry::{Counter, Gauge, Registry};
 use imcf_traces::outage::OutagePlan;
 use std::collections::BTreeSet;
@@ -181,11 +181,7 @@ impl Deployment {
     /// construction (pinned by imcf-obs tests); should that fail, the
     /// plane stays off rather than failing the run.
     pub fn with_obs(mut self, capacity: usize) -> Deployment {
-        let config = imcf_obs::ObsConfig {
-            capacity,
-            persist_every: 0,
-            ..imcf_obs::ObsConfig::default()
-        };
+        let config = imcf_obs::ObsConfig { capacity };
         let mirror = Registry::new();
         self.obs = imcf_obs::ObsEngine::in_memory(config, imcf_obs::default_rules())
             .ok()
@@ -321,8 +317,8 @@ impl Deployment {
     }
 }
 
-/// Makes a checkpoint durable through the group-commit path, with
-/// crashpoints bracketing the durability point.
+/// Makes a checkpoint durable (one append, one fsync), with crashpoints
+/// bracketing the durability point.
 fn write_checkpoint(
     checkpoints: &SharedTable<ControllerCheckpoint>,
     checkpoint: ControllerCheckpoint,

@@ -2,8 +2,9 @@
 //!
 //! The durability model has two tables in one store directory:
 //!
-//! * **`checkpoint`** — versioned [`ControllerCheckpoint`] records written
-//!   through a group-commit [`SharedTable`] every N ticks. A checkpoint is
+//! * **`checkpoint`** — versioned [`ControllerCheckpoint`] records appended
+//!   through a [`SharedTable`] every N ticks, each fsynced directly. A
+//!   checkpoint is
 //!   the *full* control state (planner RNG mid-stream, energy meter,
 //!   breaker banks and cooldowns, carry-over reserve, virtual chaos
 //!   clock), so a restored controller plans byte-identically to one that
@@ -40,8 +41,7 @@ use imcf_core::calendar::PaperCalendar;
 use imcf_core::planner::PlannerConfig;
 use imcf_devices::command::Command;
 use imcf_devices::registry::DeviceRegistry;
-use imcf_store::commit::SharedTable;
-use imcf_store::{Change, Log};
+use imcf_store::{Change, Log, SharedTable};
 use imcf_telemetry::Stopwatch;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -265,20 +265,27 @@ pub struct JournalAudit {
 
 /// Audits the journal in `dir` without mutating controller state.
 pub fn audit_journal(dir: &Path) -> Result<JournalAudit, ControllerError> {
+    let mut rows = 0;
     let mut ids = BTreeSet::new();
     let mut duplicate_deliveries = 0;
     let mut sealed_ticks = 0;
-    let log = Log::<JournalRecord>::open(dir, JOURNAL_TABLE, |change| match change {
-        Change::Put(_, JournalRecord::Tick(_)) => sealed_ticks += 1,
-        Change::Put(_, JournalRecord::Command(cmd)) => {
-            if cmd.wire.is_some() && !ids.insert(cmd.command_id) {
-                duplicate_deliveries += 1;
+    // The journal only appends, so every replayed row is one more row.
+    Log::<JournalRecord>::open(dir, JOURNAL_TABLE, |change| match change {
+        Change::Put(_, record) => {
+            rows += 1;
+            match record {
+                JournalRecord::Tick(_) => sealed_ticks += 1,
+                JournalRecord::Command(cmd) => {
+                    if cmd.wire.is_some() && !ids.insert(cmd.command_id) {
+                        duplicate_deliveries += 1;
+                    }
+                }
             }
         }
         Change::Delete(_) => {}
     })?;
     Ok(JournalAudit {
-        rows: log.len() as u64,
+        rows,
         delivered_ids: ids.into_iter().collect(),
         duplicate_deliveries,
         sealed_ticks,
@@ -390,7 +397,7 @@ pub struct OpenedController {
     /// Wall time of the open/restore (checkpoint load + journal replay),
     /// microseconds.
     pub restore_micros: u64,
-    /// The checkpoint table, group-commit shared, for subsequent writes.
+    /// The checkpoint log, for subsequent writes.
     pub checkpoints: SharedTable<ControllerCheckpoint>,
 }
 
@@ -404,7 +411,7 @@ pub fn open_or_restore(
 ) -> Result<OpenedController, ControllerError> {
     let stopwatch = Stopwatch::start();
     let (log, latest) = open_checkpoints(dir)?;
-    let checkpoints = log.into_shared();
+    let checkpoints = SharedTable::new(log);
 
     let (mut controller, start_tick, resumed_from) = match latest {
         Some(cp) => {
@@ -529,18 +536,23 @@ pub fn run_complete(dir: &Path, ticks: u64) -> Result<bool, ControllerError> {
 fn open_checkpoints(
     dir: &Path,
 ) -> Result<(Log<ControllerCheckpoint>, Option<ControllerCheckpoint>), ControllerError> {
-    let mut latest: Option<(u64, ControllerCheckpoint)> = None;
-    let log = Log::open(dir, CHECKPOINT_TABLE, |change| {
-        if let Change::Put(id, checkpoint) = change {
+    // The highest row id seen, and its checkpoint unless it was deleted.
+    let mut latest: Option<(u64, Option<ControllerCheckpoint>)> = None;
+    let log = Log::open(dir, CHECKPOINT_TABLE, |change| match change {
+        Change::Put(id, checkpoint) => {
             if latest.as_ref().is_none_or(|(at, _)| id >= *at) {
-                latest = Some((id, checkpoint));
+                latest = Some((id, Some(checkpoint)));
+            }
+        }
+        Change::Delete(id) => {
+            if let Some((at, checkpoint)) = &mut latest {
+                if *at == id {
+                    *checkpoint = None;
+                }
             }
         }
     })?;
-    let latest = latest
-        .filter(|(id, _)| log.last_id() == Some(*id))
-        .map(|(_, checkpoint)| checkpoint);
-    Ok((log, latest))
+    Ok((log, latest.and_then(|(_, checkpoint)| checkpoint)))
 }
 
 #[cfg(test)]

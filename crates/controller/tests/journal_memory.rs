@@ -53,12 +53,12 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Live heap bytes a reopened journal may hold per delivered command. Its
-/// id sets hold about 42 B per command of this run (11,385 delivered),
-/// with each journaled id in one set; a journal that also kept every
-/// delivered id in a second set of all journaled ids would hold about
-/// 57 B, and one that also kept each delivered command's wire string about
-/// 123 B.
-const BYTES_PER_DELIVERED: f64 = 60.0;
+/// id sets hold about 18.9 B per command of this run (11,385 delivered),
+/// with each journaled id in one set and no per-row state in the log under
+/// it; a log that also kept the id of each of its 13,385 rows would hold
+/// about 42 B, a second set of all journaled ids about 57 B, and each
+/// delivered command's wire string about 123 B.
+const BYTES_PER_DELIVERED: f64 = 37.0;
 
 #[test]
 fn a_reopened_journal_holds_ids_not_wire_strings() {

@@ -5,11 +5,13 @@
 //! [`ObsEngine::observe`] snapshots the telemetry registry at a virtual
 //! tick, delta-encodes every metric into its [`SeriesRing`] (histograms
 //! expand into `:count`, `:sum` and `:le:<bound>` sub-series), evaluates
-//! the alert rules, and periodically persists each series' raw window
-//! through the segmented group-commit store (`tsdb` table) with bounded
-//! retention. Everything is keyed on the virtual clock — no wall time —
-//! so the same tick sequence produces the same series, the same alert
-//! transitions and the same persisted windows on any worker layout.
+//! the alert rules, and every 64 samples appends each series' raw window
+//! to the `tsdb` table and the engine state to `tsdb_meta`. Both logs only
+//! append; a restart restores each series from its newest window and the
+//! engine from its newest state row. Everything is keyed on the virtual
+//! clock — no wall time — so the same tick sequence produces the same
+//! series, the same alert transitions and the same persisted windows on
+//! any worker layout.
 
 use crate::alert::{self, AlertError, AlertExpr, AlertRule, AlertState, Transition};
 use crate::series::{Point, SeriesKind, SeriesRing};
@@ -21,34 +23,26 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
-/// Sampler/retention tuning.
+/// Sample every N virtual ticks.
+const INTERVAL_TICKS: u64 = 1;
+/// Evicted raw points folded into one coarse block.
+const DOWNSAMPLE_EVERY: usize = 8;
+/// Coarse blocks retained per series.
+const COARSE_CAPACITY: usize = 256;
+/// Persist windows every N samples (an engine without a store directory
+/// persists nothing).
+const PERSIST_EVERY: u64 = 64;
+
+/// Sampler tuning.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObsConfig {
-    /// Sample every N virtual ticks (1 = every tick).
-    pub interval_ticks: u64,
     /// Raw points retained per series.
     pub capacity: usize,
-    /// Evicted raw points folded into one coarse block.
-    pub downsample_every: usize,
-    /// Coarse blocks retained per series.
-    pub coarse_capacity: usize,
-    /// Persist windows every N samples (0 disables persistence even when
-    /// a store directory was given).
-    pub persist_every: u64,
-    /// Persisted windows retained per series before the oldest is deleted.
-    pub retention_windows: usize,
 }
 
 impl Default for ObsConfig {
     fn default() -> ObsConfig {
-        ObsConfig {
-            interval_ticks: 1,
-            capacity: 512,
-            downsample_every: 8,
-            coarse_capacity: 256,
-            persist_every: 64,
-            retention_windows: 4,
-        }
+        ObsConfig { capacity: 512 }
     }
 }
 
@@ -67,9 +61,9 @@ pub struct SeriesWindow {
     pub base: f64,
 }
 
-/// Engine state persisted alongside windows (a single row in the
-/// `tsdb_meta` table) so a restart resumes sampling and alerting where
-/// the previous process stopped.
+/// Engine state persisted alongside windows (one row appended to the
+/// `tsdb_meta` table per persist pass) so a restart resumes sampling and
+/// alerting where the previous process stopped.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObsState {
     pub last_sample_tick: Option<u64>,
@@ -136,9 +130,6 @@ struct SelfHandles {
 struct Storage {
     windows: Log<SeriesWindow>,
     meta: Log<ObsState>,
-    meta_id: Option<u64>,
-    /// Persisted window row ids per series, oldest first (retention).
-    window_ids: BTreeMap<String, Vec<u64>>,
 }
 
 /// Counters the engine keeps about itself, surfaced via `imcf doctor`
@@ -149,6 +140,8 @@ pub struct ObsStats {
     pub series: u64,
     pub evictions: u64,
     pub windows_persisted: u64,
+    /// Always 0: persistence only appends. Kept while `benchmark/` reports
+    /// it as `obs.windows_deleted`.
     pub windows_deleted: u64,
     pub storage_errors: u64,
     pub alert_transitions: u64,
@@ -239,34 +232,28 @@ impl ObsEngine {
         let mut engine = ObsEngine::in_memory(config, rules).map_err(ObsOpenError::Rules)?;
         let store = |e: imcf_store::table::TableError| ObsOpenError::Store(e.to_string());
 
-        // Fold the window log as it replays: each live window's series (so
-        // retention can delete the oldest) and each series' newest window,
-        // the last one persisted, which its ring is rebuilt from.
-        let mut live: BTreeMap<u64, String> = BTreeMap::new();
-        let mut newest: BTreeMap<String, (u64, SeriesWindow)> = BTreeMap::new();
-        let windows = Log::<SeriesWindow>::open(&dir, "tsdb", |change| match change {
-            Change::Put(id, row) => {
-                live.insert(id, row.series.clone());
-                newest.insert(row.series.clone(), (id, row));
-            }
-            Change::Delete(id) => {
-                live.remove(&id);
+        // Fold each log as it replays, keeping only the newest row: each
+        // series' ring is rebuilt from its newest window, the engine from
+        // its newest state row. Deletes, which older stores wrote to drop
+        // old windows, never touch the newest window.
+        let mut newest: BTreeMap<String, SeriesWindow> = BTreeMap::new();
+        let windows = Log::<SeriesWindow>::open(&dir, "tsdb", |change| {
+            if let Change::Put(_, row) = change {
+                match newest.get_mut(&row.series) {
+                    Some(slot) => *slot = row,
+                    None => {
+                        newest.insert(row.series.clone(), row);
+                    }
+                }
             }
         })
         .map_err(store)?;
-        let mut window_ids: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        for (id, series) in live {
-            window_ids.entry(series).or_default().push(id);
-        }
-        for (series, (id, row)) in newest {
-            if !windows.contains(id) {
-                continue;
-            }
+        for (series, row) in newest {
             let ring = SeriesRing::restore(
                 row.kind,
                 engine.config.capacity,
-                engine.config.downsample_every,
-                engine.config.coarse_capacity,
+                DOWNSAMPLE_EVERY,
+                COARSE_CAPACITY,
                 row.points,
                 row.last_raw,
                 row.base,
@@ -274,17 +261,14 @@ impl ObsEngine {
             engine.series.insert(series, ring);
         }
 
-        // One state row, inserted once and updated in place.
         let mut state = None;
         let meta = Log::<ObsState>::open(&dir, "tsdb_meta", |change| {
-            if let Change::Put(id, row) = change {
-                state = Some((id, row));
+            if let Change::Put(_, row) = change {
+                state = Some(row);
             }
         })
         .map_err(store)?;
-        let state = state.filter(|(id, _)| meta.last_id() == Some(*id));
-        let meta_id = state.as_ref().map(|(id, _)| *id);
-        if let Some((_, state)) = state {
+        if let Some(state) = state {
             engine.last_sample_tick = state.last_sample_tick;
             engine.samples = state.samples;
             engine.stats.samples = state.samples;
@@ -295,17 +279,8 @@ impl ObsEngine {
             }
         }
 
-        engine.storage = Some(Storage {
-            windows,
-            meta,
-            meta_id,
-            window_ids,
-        });
+        engine.storage = Some(Storage { windows, meta });
         Ok(engine)
-    }
-
-    pub fn config(&self) -> &ObsConfig {
-        &self.config
     }
 
     pub fn stats(&self) -> ObsStats {
@@ -345,7 +320,7 @@ impl ObsEngine {
         self.edges.clear();
         let due = match self.last_sample_tick {
             None => true,
-            Some(last) => tick >= last.saturating_add(self.config.interval_ticks.max(1)),
+            Some(last) => tick >= last.saturating_add(INTERVAL_TICKS),
         };
         if !due {
             return false;
@@ -357,7 +332,7 @@ impl ObsEngine {
         self.samples += 1;
         self.stats.samples = self.samples;
         self.last_sample_tick = Some(tick);
-        if self.config.persist_every > 0 && self.samples.is_multiple_of(self.config.persist_every) {
+        if self.samples.is_multiple_of(PERSIST_EVERY) {
             self.persist();
         }
         true
@@ -374,8 +349,8 @@ impl ObsEngine {
         let mut ring = SeriesRing::new(
             kind,
             self.config.capacity,
-            self.config.downsample_every,
-            self.config.coarse_capacity,
+            DOWNSAMPLE_EVERY,
+            COARSE_CAPACITY,
         );
         ring.push(tick, value);
         self.series.insert(key.to_string(), ring);
@@ -646,18 +621,7 @@ impl ObsEngine {
                 base: ring.base(),
             };
             match storage.windows.insert(&window) {
-                Ok(id) => {
-                    self.stats.windows_persisted += 1;
-                    let ids = storage.window_ids.entry(name.clone()).or_default();
-                    ids.push(id);
-                    while ids.len() > self.config.retention_windows.max(1) {
-                        let oldest = ids.remove(0);
-                        match storage.windows.delete(oldest) {
-                            Ok(()) => self.stats.windows_deleted += 1,
-                            Err(_) => self.stats.storage_errors += 1,
-                        }
-                    }
-                }
+                Ok(_) => self.stats.windows_persisted += 1,
                 Err(_) => self.stats.storage_errors += 1,
             }
         }
@@ -670,17 +634,7 @@ impl ObsEngine {
                 .map(|rt| (rt.rule.name.clone(), rt.state))
                 .collect(),
         };
-        let write = match storage.meta_id {
-            Some(id) => storage.meta.update(id, &state),
-            None => match storage.meta.insert(&state) {
-                Ok(id) => {
-                    storage.meta_id = Some(id);
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            },
-        };
-        if write.is_err() {
+        if storage.meta.insert(&state).is_err() {
             self.stats.storage_errors += 1;
         }
         if storage.windows.sync().is_err() || storage.meta.sync().is_err() {

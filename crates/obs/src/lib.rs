@@ -15,8 +15,8 @@
 //! * [`engine::ObsEngine`] — samples a [`imcf_telemetry::Registry`] each
 //!   virtual tick, expands histograms into `:count`/`:sum`/`:le:<bound>`
 //!   sub-series, serves range queries (`value`, `rate`, `increase`,
-//!   `points`, `quantile_over_time`) and persists windows through the
-//!   segmented group-commit store (`tsdb` table) with retention;
+//!   `points`, `quantile_over_time`) and appends windows to the store's
+//!   `tsdb` table, restoring each series from its newest window;
 //! * [`alert`] — declarative threshold / burn-rate rules with a
 //!   pending → firing → resolved state machine, validated against the
 //!   telemetry catalog at load;

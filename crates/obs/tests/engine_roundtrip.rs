@@ -2,11 +2,16 @@
 //! transitions and crash-safe persistence.
 
 use imcf_obs::alert::Transition;
+use imcf_obs::engine::ObsState;
 use imcf_obs::{
-    handle_query, AlertExpr, AlertRule, Cmp, ObsConfig, ObsEngine, QueryError, Severity,
+    handle_query, AlertExpr, AlertRule, Cmp, ObsConfig, ObsEngine, QueryError, SeriesWindow,
+    Severity,
 };
+use imcf_store::Table;
 use imcf_telemetry::Registry;
 use serde_json::Value;
+use std::collections::BTreeMap;
+use std::path::Path;
 
 /// Numeric field accessor (the compat `Value` has no `as_f64`).
 fn num(v: &Value, key: &str) -> Option<f64> {
@@ -17,14 +22,7 @@ fn num(v: &Value, key: &str) -> Option<f64> {
 }
 
 fn tiny_config() -> ObsConfig {
-    ObsConfig {
-        interval_ticks: 1,
-        capacity: 64,
-        downsample_every: 4,
-        coarse_capacity: 16,
-        persist_every: 4,
-        retention_windows: 2,
-    }
+    ObsConfig { capacity: 64 }
 }
 
 fn breaker_rule() -> AlertRule {
@@ -156,58 +154,106 @@ fn alert_fires_reports_its_edges_and_resolves() {
     assert!(registry.prometheus_text().contains("alerts_firing 0"));
 }
 
+/// Runs a persisted engine in `dir` for 12 ticks, one `journal.deduped`
+/// per tick and a breaker opening at tick 6 that fires the storm alert,
+/// flushing after every fourth tick.
+fn persist_twelve_ticks(dir: &Path, registry: &Registry) {
+    let work = registry.counter("journal.deduped");
+    let breaker = registry.counter("breaker.open");
+    let mut engine = ObsEngine::open(dir, tiny_config(), vec![breaker_rule()]).expect("open");
+    for tick in 1..=12u64 {
+        work.add(1);
+        if tick == 6 {
+            breaker.add(1);
+        }
+        engine.observe(tick, registry);
+        if tick % 4 == 0 {
+            engine.flush();
+        }
+    }
+    let stats = engine.stats();
+    assert!(stats.windows_persisted > 0, "windows persisted: {stats:?}");
+    assert_eq!(stats.windows_deleted, 0, "persistence only appends");
+}
+
+/// What a reopened engine must hold after [`persist_twelve_ticks`].
+fn assert_restored(engine: &ObsEngine) {
+    assert_eq!(engine.value("journal.deduped").expect("restored"), 12.0);
+    assert_eq!(engine.stats().samples, 12);
+    assert_eq!(engine.last_tick(), Some(12));
+    let rows = engine.alert_rows();
+    assert_eq!((rows[0].state.as_str(), rows[0].since), ("firing", Some(6)));
+}
+
 #[test]
 fn persistence_restores_series_and_alert_state_without_double_counting() {
     let dir = tempfile::tempdir().expect("tempdir");
     let registry = Registry::new();
-    let work = registry.counter("journal.deduped");
-    {
-        let mut engine =
-            ObsEngine::open(dir.path(), tiny_config(), vec![breaker_rule()]).expect("open");
-        for tick in 1..=12u64 {
-            work.add(1);
-            engine.observe(tick, &registry);
-        }
-        engine.flush();
-        let stats = engine.stats();
-        assert!(stats.windows_persisted > 0, "windows persisted: {stats:?}");
-    }
+    persist_twelve_ticks(dir.path(), &registry);
 
     // Reopen: the counter total must carry across the restart even though
     // the registry (same process here) kept its cumulative value — the
     // restored `last_raw` prevents re-counting history.
     let mut engine =
         ObsEngine::open(dir.path(), tiny_config(), vec![breaker_rule()]).expect("reopen");
-    assert_eq!(engine.value("journal.deduped").expect("restored"), 12.0);
-    assert_eq!(engine.stats().samples, 12);
-    work.add(1);
+    assert_restored(&engine);
+    registry.counter("journal.deduped").add(1);
     engine.observe(13, &registry);
     assert_eq!(engine.value("journal.deduped").expect("sampled"), 13.0);
-
-    // Retention bounds the window count per series.
-    engine.flush();
-    let stats = engine.stats();
-    assert!(
-        stats.windows_deleted > 0
-            || stats.windows_persisted <= 2 * engine.series_names().len() as u64,
-        "retention must bound windows: {stats:?}"
-    );
 }
 
+/// Older engines kept at most a few windows per series by deleting the
+/// oldest, and updated one state row in place. A store written that way
+/// (here copied with [`Table`] from an append-only one, deleting all but
+/// the two newest windows of each series) reopens to the same engine.
 #[test]
-fn sampling_interval_skips_off_ticks() {
+fn a_store_with_window_deletes_and_an_updated_state_row_reopens_the_same() {
     let registry = Registry::new();
-    let mut config = tiny_config();
-    config.interval_ticks = 5;
-    let mut engine = ObsEngine::in_memory(config, vec![]).expect("rules");
-    let c = registry.counter("journal.deduped");
-    let mut taken = 0;
-    for tick in 1..=20u64 {
-        c.inc();
-        if engine.observe(tick, &registry) {
-            taken += 1;
+    let appended = tempfile::tempdir().expect("tempdir");
+    persist_twelve_ticks(appended.path(), &registry);
+
+    let rewritten = tempfile::tempdir().expect("tempdir");
+    {
+        let windows: Table<SeriesWindow> = Table::open(appended.path(), "tsdb").expect("tsdb");
+        let mut old: Table<SeriesWindow> = Table::open(rewritten.path(), "tsdb").expect("tsdb");
+        let mut kept: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+        let mut deleted = 0;
+        for (_, window) in windows.scan() {
+            let id = old.insert(window.clone()).expect("insert");
+            let ids = kept.entry(window.series.clone()).or_default();
+            ids.push(id);
+            if ids.len() > 2 {
+                old.delete(ids.remove(0)).expect("delete");
+                deleted += 1;
+            }
         }
+        assert!(deleted > 0, "three passes leave a window to delete");
+        old.sync().expect("sync");
+
+        let states: Table<ObsState> = Table::open(appended.path(), "tsdb_meta").expect("meta");
+        assert_eq!(states.len(), 3, "one state row per pass");
+        let mut old: Table<ObsState> = Table::open(rewritten.path(), "tsdb_meta").expect("meta");
+        let mut state_id = None;
+        for (_, state) in states.scan() {
+            match state_id {
+                None => state_id = Some(old.insert(state.clone()).expect("insert")),
+                Some(id) => old.update(id, state.clone()).expect("update"),
+            }
+        }
+        assert_eq!(old.len(), 1);
+        old.sync().expect("sync");
     }
-    assert_eq!(taken, 4, "every 5th tick samples");
-    assert_eq!(engine.stats().samples, 4);
+
+    let open = |dir: &Path| ObsEngine::open(dir, tiny_config(), vec![breaker_rule()]);
+    let appended = open(appended.path()).expect("reopen appended");
+    let rewritten = open(rewritten.path()).expect("reopen rewritten");
+    assert_restored(&rewritten);
+    assert_eq!(appended.series_names(), rewritten.series_names());
+    for series in appended.series_names() {
+        assert_eq!(
+            appended.points(&series),
+            rewritten.points(&series),
+            "{series}"
+        );
+    }
 }

@@ -1,14 +1,16 @@
 //! Typed, row-less logs over the segmented WAL.
 //!
 //! A [`Log<T>`] is the layer every typed table is built on. It encodes each
-//! mutation of a `T` row as one JSON operation record, appends it to the
-//! table's [`SegmentedLog`], assigns row ids, and at open replays the
-//! snapshot and the log segments through a visitor. It keeps no rows —
-//! only the next row id and the set of live ids — so a caller that only
-//! appends, or that folds the history into a summary as it replays, holds
-//! O(live ids) in memory instead of O(history). [`crate::table::Table`]
-//! adds the rows (an in-memory index plus snapshots) and
-//! [`crate::commit::SharedTable`] adds group commit; both sit on this log.
+//! row as one JSON operation record, appends it to the table's
+//! [`SegmentedLog`], assigns row ids, and at open replays the snapshot and
+//! the log segments through a visitor. It keeps no per-row state — only the
+//! next row id — so a caller that only appends, or that folds the history
+//! into a summary as it replays, holds that summary in memory and nothing
+//! that grows with the history. Its one writer only appends; the caller's
+//! fold counts rows or keeps the last one. [`crate::table::Table`] adds the
+//! rows (an in-memory index, updates, deletes and snapshots), and
+//! [`SharedTable`] puts a log behind a mutex for a writer bound by shared
+//! reference.
 //!
 //! On-disk layout for a table named `readings` in directory `dir`:
 //!
@@ -22,11 +24,12 @@ use crate::segment::{SegmentConfig, SegmentedLog};
 use crate::wal::WalOp;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::marker::PhantomData;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 /// A logged mutation, as replay decodes it. Appends assemble the same
 /// bytes by hand in [`op_record`].
@@ -99,7 +102,6 @@ pub struct Log<T> {
     name: String,
     segments: SegmentedLog,
     next_id: u64,
-    live: BTreeSet<u64>,
     rows: PhantomData<fn() -> T>,
 }
 
@@ -139,13 +141,11 @@ impl<T: Serialize + DeserializeOwned> Log<T> {
         }
 
         let mut next_id = 0;
-        let mut live = BTreeSet::new();
         match std::fs::read(&snap_path) {
             Ok(bytes) => {
                 let snap: Snapshot<T> = serde_json::from_slice(&bytes)?;
                 next_id = snap.next_id;
                 for (id, row) in snap.rows {
-                    live.insert(id);
                     visit(Change::Put(id, row));
                 }
             }
@@ -161,13 +161,9 @@ impl<T: Serialize + DeserializeOwned> Log<T> {
             match op {
                 Op::Insert { id, row } | Op::Update { id, row } => {
                     next_id = next_id.max(id.saturating_add(1));
-                    live.insert(id);
                     visit(Change::Put(id, row));
                 }
-                Op::Delete { id } => {
-                    live.remove(&id);
-                    visit(Change::Delete(id));
-                }
+                Op::Delete { id } => visit(Change::Delete(id)),
             }
             ControlFlow::Continue(())
         })?;
@@ -178,7 +174,6 @@ impl<T: Serialize + DeserializeOwned> Log<T> {
             name: name.to_string(),
             segments,
             next_id,
-            live,
             rows: PhantomData,
         };
         log.update_segment_gauge();
@@ -187,63 +182,32 @@ impl<T: Serialize + DeserializeOwned> Log<T> {
 
     /// Appends a row and returns its id.
     pub fn insert(&mut self, row: &T) -> Result<u64, TableError> {
-        self.insert_encoded(&serde_json::to_vec(row)?)
-    }
-
-    /// Insert with the row JSON already encoded — [`crate::commit`] uses
-    /// this to keep serialization outside its lock.
-    pub(crate) fn insert_encoded(&mut self, row_json: &[u8]) -> Result<u64, TableError> {
         let id = self.next_id;
+        let row_json = serde_json::to_vec(row)?;
         self.segments
-            .append(&op_record("Insert", id, Some(row_json)))?;
-        self.live.insert(id);
+            .append(&op_record("Insert", id, Some(&row_json)))?;
         self.next_id = id.saturating_add(1);
         Ok(id)
     }
 
-    /// Replaces the row at `id`.
-    pub fn update(&mut self, id: u64, row: &T) -> Result<(), TableError> {
-        if !self.live.contains(&id) {
-            return Err(TableError::NoSuchRow(id));
-        }
+    /// Logs a new value for row `id`; [`crate::table::Table`] checks that
+    /// the row exists.
+    pub(crate) fn update(&mut self, id: u64, row: &T) -> Result<(), TableError> {
         let row_json = serde_json::to_vec(row)?;
         self.segments
             .append(&op_record("Update", id, Some(&row_json)))?;
         Ok(())
     }
 
-    /// Deletes the row at `id`.
-    pub fn delete(&mut self, id: u64) -> Result<(), TableError> {
-        if !self.live.contains(&id) {
-            return Err(TableError::NoSuchRow(id));
-        }
+    /// Logs the deletion of row `id`; [`crate::table::Table`] checks that
+    /// the row exists.
+    pub(crate) fn delete(&mut self, id: u64) -> Result<(), TableError> {
         self.segments.append(&op_record("Delete", id, None))?;
-        self.live.remove(&id);
         Ok(())
     }
 }
 
 impl<T> Log<T> {
-    /// True when row `id` is live.
-    pub fn contains(&self, id: u64) -> bool {
-        self.live.contains(&id)
-    }
-
-    /// The highest live row id — the latest row of an append-only table.
-    pub fn last_id(&self) -> Option<u64> {
-        self.live.last().copied()
-    }
-
-    /// Number of live rows.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// True when the log has no live rows.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
-
     /// The id the next insert receives.
     pub(crate) fn next_id(&self) -> u64 {
         self.next_id
@@ -253,16 +217,6 @@ impl<T> Log<T> {
     pub fn sync(&mut self) -> Result<(), TableError> {
         self.segments.sync()?;
         Ok(())
-    }
-
-    /// Snapshot of the current log position plus a file handle that, once
-    /// `sync_data`-ed, makes everything up to that position durable. The
-    /// group commit leader calls this under the log lock, then fsyncs the
-    /// handle with the lock released so writers keep appending.
-    pub(crate) fn sync_prepare(&mut self) -> Result<(u64, std::fs::File), TableError> {
-        let goal = self.segments.lsn();
-        let file = self.segments.sync_handle()?;
-        Ok((goal, file))
     }
 
     /// Consults the fault hook about `op` (no-op without a hook).
@@ -299,12 +253,6 @@ impl<T> Log<T> {
         self.segments.sealed_count()
     }
 
-    /// Monotonic log position (bytes ever appended); group commit compares
-    /// these positions to decide which callers an fsync satisfied.
-    pub fn wal_lsn(&self) -> u64 {
-        self.segments.lsn()
-    }
-
     /// The table name.
     pub fn name(&self) -> &str {
         &self.name
@@ -312,8 +260,8 @@ impl<T> Log<T> {
 
     /// Installs a fault hook on the underlying log (see
     /// [`crate::wal::Wal::set_fault_hook`]). Injected errors surface from
-    /// every mutation, `sync`, and a table's `snapshot` / `compact` as
-    /// [`TableError::Io`]; no live id changes when the log write fails.
+    /// every append, `sync`, and a table's `snapshot` as
+    /// [`TableError::Io`]; no row id is used up when the log write fails.
     pub fn set_wal_fault_hook<F>(&mut self, hook: F)
     where
         F: Fn(WalOp) -> Option<io::Error> + Send + Sync + 'static,
@@ -324,6 +272,38 @@ impl<T> Log<T> {
     /// Removes the WAL fault hook.
     pub fn clear_wal_fault_hook(&mut self) {
         self.segments.clear_fault_hook();
+    }
+}
+
+/// A [`Log`] behind a mutex: one writer that holds the log by shared
+/// reference appends and syncs through it, and `sync` is one fsync.
+pub struct SharedTable<T> {
+    log: Mutex<Log<T>>,
+}
+
+impl<T: Serialize + DeserializeOwned> SharedTable<T> {
+    /// Wraps a log.
+    pub fn new(log: Log<T>) -> Self {
+        SharedTable {
+            log: Mutex::new(log),
+        }
+    }
+
+    /// The log, even if a writer panicked while holding it: a failed
+    /// append leaves the log as it was.
+    fn log(&self) -> MutexGuard<'_, Log<T>> {
+        self.log.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Appends a row and returns its id (logged, durable after
+    /// [`SharedTable::sync`]).
+    pub fn insert(&self, row: T) -> Result<u64, TableError> {
+        self.log().insert(&row)
+    }
+
+    /// Makes everything appended so far durable.
+    pub fn sync(&self) -> Result<(), TableError> {
+        self.log().sync()
     }
 }
 
@@ -393,11 +373,6 @@ mod tests {
             let b = log.insert(&reading(2.0)).unwrap();
             log.update(a, &reading(3.0)).unwrap();
             log.delete(b).unwrap();
-            assert!(matches!(log.delete(b), Err(TableError::NoSuchRow(_))));
-            assert!(matches!(
-                log.update(b, &reading(0.0)),
-                Err(TableError::NoSuchRow(_))
-            ));
             log.sync().unwrap();
         }
         let mut changes = Vec::new();
@@ -411,8 +386,24 @@ mod tests {
                 Change::Delete(1),
             ]
         );
-        assert_eq!((log.len(), log.last_id()), (1, Some(0)));
-        assert!(log.contains(0) && !log.contains(1));
         assert_eq!(log.insert(&reading(4.0)).unwrap(), 2, "ids are not reused");
+    }
+
+    #[test]
+    fn a_shared_table_appends_and_syncs_by_shared_reference() {
+        let dir = tempfile::tempdir().unwrap();
+        {
+            let log: Log<Reading> = Log::open(dir.path(), "r", |_| {}).unwrap();
+            let shared = SharedTable::new(log);
+            assert_eq!(shared.insert(reading(1.0)).unwrap(), 0);
+            assert_eq!(shared.insert(reading(2.0)).unwrap(), 1);
+            shared.sync().unwrap();
+        }
+        let mut changes = Vec::new();
+        Log::<Reading>::open(dir.path(), "r", |c| changes.push(c)).unwrap();
+        assert_eq!(
+            changes,
+            vec![Change::Put(0, reading(1.0)), Change::Put(1, reading(2.0))]
+        );
     }
 }

@@ -13,8 +13,7 @@
 //! valid record prefix is shorter than its physical length marks the crash
 //! point — every later segment is debris of an interrupted roll and is
 //! removed, exactly as bytes after a torn record are discarded within one
-//! file. The seed's single-file layout `<table>.wal` is migrated on open
-//! by renaming it to segment 1.
+//! file.
 //!
 //! Open replays the records through a visitor one segment at a time, and
 //! within a segment one record at a time, so replay memory is one record
@@ -99,32 +98,22 @@ pub struct SegmentedLog {
     sealed_bytes: u64,
     active: Wal,
     active_seq: u64,
-    /// Bytes retired by past compactions; keeps [`SegmentedLog::lsn`]
-    /// monotonic across truncation so group commit can compare positions.
-    base: u64,
     faults: Option<Arc<WalFaultHook>>,
 }
 
 impl SegmentedLog {
     /// Opens (or creates) the segmented log for table `name` in `dir`,
-    /// migrating a legacy single-file `<name>.wal` to segment 1, applying
-    /// the cross-segment torn-tail discipline, and handing every record to
-    /// `visit` in sequence order. A record `visit` breaks at ends the log:
-    /// its segment is truncated right before it and every later segment is
-    /// removed.
+    /// applying the cross-segment torn-tail discipline and handing every
+    /// record to `visit` in sequence order. A record `visit` breaks at ends
+    /// the log: its segment is truncated right before it and every later
+    /// segment is removed.
     pub fn open(
         dir: &Path,
         name: &str,
         config: SegmentConfig,
         mut visit: impl FnMut(&[u8]) -> ControlFlow<()>,
     ) -> io::Result<SegmentedLog> {
-        let legacy = dir.join(format!("{name}.wal"));
         let mut segs = segment_files(dir, name)?;
-        if segs.is_empty() && legacy.is_file() {
-            let first = segment_path(dir, name, 1);
-            std::fs::rename(&legacy, &first)?;
-            segs.push((1, first));
-        }
         if segs.is_empty() {
             let active = Wal::open(segment_path(dir, name, 1))?;
             return Ok(SegmentedLog {
@@ -135,7 +124,6 @@ impl SegmentedLog {
                 sealed_bytes: 0,
                 active,
                 active_seq: 1,
-                base: 0,
                 faults: None,
             });
         }
@@ -194,7 +182,6 @@ impl SegmentedLog {
             sealed_bytes,
             active,
             active_seq,
-            base: 0,
             faults: None,
         })
     }
@@ -266,36 +253,23 @@ impl SegmentedLog {
         self.active.sync()
     }
 
-    /// A duplicated handle to the active segment, for fsyncing outside the
-    /// owner's lock. Consults the fault hook as a [`WalOp::Sync`]. Bytes
-    /// up to the current [`SegmentedLog::lsn`] are covered: sealed
-    /// segments were fsynced when they rolled, and every active-segment
-    /// append is visible through the clone.
-    pub(crate) fn sync_handle(&self) -> io::Result<std::fs::File> {
-        self.check_fault(WalOp::Sync)?;
-        self.active.file_clone()
-    }
-
-    /// Drops every record in the log: truncates the active segment and
-    /// removes the sealed ones (the durability point after a compaction
-    /// has persisted a snapshot). The log position stays monotonic.
+    /// Drops every record in the log once a published snapshot has made
+    /// them redundant. The fault hook is consulted once, before any file
+    /// is touched. Sealed segments go first, oldest first, each forgotten
+    /// only once its unlink succeeded; then the directory is fsynced and
+    /// the active segment truncated. A crash or a failure at any step
+    /// leaves a *suffix* of the log, which replays over the snapshot to
+    /// the same rows: never an old prefix whose rows a later record
+    /// deleted or updated.
     pub fn truncate_all(&mut self) -> io::Result<()> {
-        let new_base = self.lsn();
-        self.active.truncate()?;
-        self.base = new_base;
-        for s in self.sealed.drain(..) {
-            std::fs::remove_file(&s.path)?;
+        self.check_fault(WalOp::Truncate)?;
+        while let Some(oldest) = self.sealed.first() {
+            std::fs::remove_file(&oldest.path)?;
+            let gone = self.sealed.remove(0);
+            self.sealed_bytes = self.sealed_bytes.saturating_sub(gone.bytes);
         }
-        self.sealed_bytes = 0;
-        Ok(())
-    }
-
-    /// Monotonic log position: bytes ever appended (never decreases, even
-    /// across compaction). Group commit compares these positions.
-    pub fn lsn(&self) -> u64 {
-        self.base
-            .saturating_add(self.sealed_bytes)
-            .saturating_add(self.active.len_bytes())
+        std::fs::File::open(&self.dir)?.sync_all()?;
+        self.active.cut_to(0)
     }
 
     /// Bytes currently in the log (sealed segments + active tail).
@@ -362,34 +336,23 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_file_wal_migrates_to_segment_one() {
-        let t = tempfile::tempdir().unwrap();
-        {
-            let mut wal = Wal::open(t.path().join("t.wal")).unwrap();
-            wal.append(b"old-world").unwrap();
-            wal.sync().unwrap();
-        }
-        let records = replay(t.path());
-        assert_eq!(records, vec![b"old-world".to_vec()]);
-        assert!(!t.path().join("t.wal").exists());
-        assert!(t.path().join("t.wal.1").exists());
-    }
-
-    #[test]
-    fn lsn_is_monotonic_across_truncate_all() {
+    fn truncate_all_keeps_the_sequence_and_empties_the_log() {
         let t = tempfile::tempdir().unwrap();
         let mut log = tiny(t.path());
         for _ in 0..12 {
             log.append(b"0123456789abcdef").unwrap();
         }
-        let before = log.lsn();
-        assert!(before > 0);
+        let active = log.active_path().to_path_buf();
+        assert!(log.sealed_count() > 0);
         log.truncate_all().unwrap();
-        assert_eq!(log.lsn(), before, "truncation must not rewind the lsn");
         assert_eq!(log.tail_bytes(), 0);
         assert_eq!(log.segment_count(), 1);
+        assert_eq!(log.active_path(), active, "the active segment stays");
+        let files = segment_files(t.path(), "t").unwrap();
+        assert_eq!(files.len(), 1);
         log.append(b"more").unwrap();
-        assert!(log.lsn() > before);
+        drop(log);
+        assert_eq!(replay(t.path()), vec![b"more".to_vec()]);
     }
 
     #[test]
@@ -401,7 +364,7 @@ mod tests {
             log.append(b"0123456789abcdefghij").unwrap();
         }
         let segments = log.segment_count();
-        let lsn = log.lsn();
+        let bytes = log.tail_bytes();
         log.set_fault_hook(|op| {
             matches!(op, WalOp::Seal).then(|| io::Error::other("injected: wal_seal"))
         });
@@ -409,7 +372,7 @@ mod tests {
         // first — and the injected seal fault must fail it atomically.
         assert!(log.append(b"never-lands").is_err());
         assert_eq!(log.segment_count(), segments);
-        assert_eq!(log.lsn(), lsn);
+        assert_eq!(log.tail_bytes(), bytes);
         log.clear_fault_hook();
         log.append(b"lands").unwrap();
         assert_eq!(log.segment_count(), segments + 1);

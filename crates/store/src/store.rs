@@ -64,9 +64,9 @@ impl Store {
         Ok(Table::open(&self.dir, name)?)
     }
 
-    /// Lists the table names present on disk — those with a snapshot, a
-    /// WAL segment (`<name>.wal.<seq>`), or a legacy single-file WAL.
-    /// Transient `.snap.tmp` files (compaction scratch) are not tables.
+    /// Lists the table names present on disk — those with a snapshot or a
+    /// WAL segment (`<name>.wal.<seq>`). Transient `.snap.tmp` files
+    /// (compaction scratch) are not tables.
     pub fn table_names(&self) -> std::io::Result<Vec<String>> {
         let mut names = std::collections::BTreeSet::new();
         for entry in std::fs::read_dir(&self.dir)? {
@@ -76,10 +76,7 @@ impl Store {
             if name.ends_with(".tmp") {
                 continue;
             }
-            if let Some(stem) = name
-                .strip_suffix(".snap")
-                .or_else(|| name.strip_suffix(".wal"))
-            {
+            if let Some(stem) = name.strip_suffix(".snap") {
                 names.insert(stem.to_string());
                 continue;
             }

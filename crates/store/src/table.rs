@@ -2,15 +2,19 @@
 //!
 //! A [`Table<T>`] stores rows of any `Serialize + DeserializeOwned` type,
 //! keyed by a `u64` row id the table assigns. It is a [`Log<T>`] plus the
-//! rows: every mutation is logged before the in-memory index changes, and
-//! a compaction persists the whole index as a snapshot and drops the log
-//! segments. The on-disk layout is the log's (see [`crate::log`]).
+//! rows: every mutation is logged before the in-memory index changes,
+//! updates and deletes are checked against that index, and
+//! [`Table::snapshot`] — the one compaction — persists the whole index
+//! and drops the log segments. The on-disk layout is the log's (see
+//! [`crate::log`]).
 //!
 //! Compaction durability order (each step is a barrier for the next):
 //! temp snapshot written **and fsynced**, renamed over the live snapshot,
-//! parent directory fsynced, and only then the log truncated — so a crash
-//! at any point leaves either the old snapshot + full log or the new
-//! snapshot (+ a replayable, idempotent log suffix), never a hole.
+//! parent directory fsynced, then the sealed segments unlinked oldest
+//! first, the directory fsynced again, and only then the active segment
+//! truncated — so a crash at any point leaves either the old snapshot +
+//! full log or the new snapshot + a suffix of the log, which replays over
+//! it idempotently, never a hole and never a stale prefix.
 
 use crate::log::{snapshot_path, Change, Log};
 use crate::segment::SegmentConfig;
@@ -69,13 +73,19 @@ impl<T: Serialize + DeserializeOwned> Table<T> {
 
     /// Replaces the row at `id`.
     pub fn update(&mut self, id: u64, row: T) -> Result<(), TableError> {
+        let Some(slot) = self.rows.get_mut(&id) else {
+            return Err(TableError::NoSuchRow(id));
+        };
         self.log.update(id, &row)?;
-        self.rows.insert(id, row);
+        *slot = row;
         Ok(())
     }
 
     /// Deletes the row at `id`.
     pub fn delete(&mut self, id: u64) -> Result<(), TableError> {
+        if !self.rows.contains_key(&id) {
+            return Err(TableError::NoSuchRow(id));
+        }
         self.log.delete(id)?;
         self.rows.remove(&id);
         Ok(())
@@ -111,21 +121,10 @@ impl<T: Serialize + DeserializeOwned> Table<T> {
         self.log.sync()
     }
 
-    /// Persists the full state as a snapshot and truncates the log
-    /// (sequential compaction; [`Table::compact`] is the parallel form).
+    /// Persists the full state as a snapshot and truncates the log.
     pub fn snapshot(&mut self) -> Result<(), TableError> {
         self.log.check_fault(WalOp::Compact)?;
-        let mut parts = Vec::with_capacity(self.rows.len());
-        for (id, row) in &self.rows {
-            parts.push(encode_pair(*id, row)?);
-        }
-        let bytes = assemble_snapshot(self.log.next_id(), &parts);
-        self.finish_compaction(bytes)
-    }
-
-    /// Writes the snapshot durably (fsync before and after the rename),
-    /// then truncates the log — the crash-safe publication order.
-    fn finish_compaction(&mut self, bytes: Vec<u8>) -> Result<(), TableError> {
+        let bytes = encode_snapshot(self.log.next_id(), &self.rows)?;
         let tmp = self.snap_path.with_extension("snap.tmp");
         {
             let mut file = std::fs::File::create(&tmp)?;
@@ -162,50 +161,23 @@ impl<T: Serialize + DeserializeOwned> Table<T> {
     }
 }
 
-impl<T: Serialize + DeserializeOwned + Send + Sync> Table<T> {
-    /// Compacts the table: rewrites the live rows into a fresh snapshot —
-    /// row encoding fanned out over `jobs` `imcf-pool` workers — and drops
-    /// the log segments. The snapshot bytes are byte-identical for any
-    /// `jobs` value: workers encode disjoint rows and the parts are
-    /// concatenated in id order.
-    pub fn compact(&mut self, jobs: usize) -> Result<(), TableError> {
-        self.log.check_fault(WalOp::Compact)?;
-        let pairs: Vec<(u64, &T)> = self.rows.iter().map(|(id, row)| (*id, row)).collect();
-        let encoded = imcf_pool::map_indexed(jobs, pairs, |_, (id, row)| {
-            encode_pair(id, row).map_err(|e| e.to_string())
-        });
-        let mut parts = Vec::with_capacity(encoded.len());
-        for part in encoded {
-            parts.push(part.map_err(io::Error::other)?);
-        }
-        let bytes = assemble_snapshot(self.log.next_id(), &parts);
-        self.finish_compaction(bytes)
-    }
-}
-
-/// Encodes one `id: row` snapshot entry as JSON object-member bytes.
-fn encode_pair<T: Serialize>(id: u64, row: &T) -> Result<Vec<u8>, TableError> {
-    let mut out = format!("\"{id}\":").into_bytes();
-    out.extend_from_slice(&serde_json::to_vec(row)?);
-    Ok(out)
-}
-
-/// Assembles the snapshot document from pre-encoded `id: row` members.
-/// The layout matches what `serde_json` produces for a
-/// [`crate::log::Snapshot`], so
-/// snapshots written by any engine version parse identically.
-fn assemble_snapshot(next_id: u64, parts: &[Vec<u8>]) -> Vec<u8> {
-    let body: usize = parts.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(body + parts.len() + 32);
-    out.extend_from_slice(format!("{{\"next_id\":{next_id},\"rows\":{{").as_bytes());
-    for (i, part) in parts.iter().enumerate() {
+/// The snapshot document of `rows`, byte for byte what `serde_json`
+/// encodes a [`crate::log::Snapshot`] to, written without cloning the
+/// rows into one.
+fn encode_snapshot<T: Serialize>(
+    next_id: u64,
+    rows: &BTreeMap<u64, T>,
+) -> Result<Vec<u8>, TableError> {
+    let mut out = format!("{{\"next_id\":{next_id},\"rows\":{{").into_bytes();
+    for (i, (id, row)) in rows.iter().enumerate() {
         if i > 0 {
             out.push(b',');
         }
-        out.extend_from_slice(part);
+        out.extend_from_slice(format!("\"{id}\":").as_bytes());
+        out.extend_from_slice(&serde_json::to_vec(row)?);
     }
     out.extend_from_slice(b"}}");
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -294,27 +266,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_compaction_is_byte_identical_to_sequential() {
+    fn snapshot_bytes_are_the_serde_encoding() {
         let dir = tempfile::tempdir().unwrap();
-        let mut snaps: Vec<Vec<u8>> = Vec::new();
-        for jobs in [1usize, 4] {
-            let sub = dir.path().join(format!("jobs{jobs}"));
-            let mut t: Table<Pref> = Table::open(&sub, "prefs").unwrap();
-            for i in 0..64 {
-                t.insert(pref(&format!("user-{i}"), i as f64 * 0.5))
-                    .unwrap();
-            }
-            t.compact(jobs).unwrap();
-            snaps.push(std::fs::read(sub.join("prefs.snap")).unwrap());
+        let mut t: Table<Pref> = Table::open(dir.path(), "prefs").unwrap();
+        for i in 0..64 {
+            t.insert(pref(&format!("user-{i}"), i as f64 * 0.5))
+                .unwrap();
         }
-        assert_eq!(
-            snaps[0], snaps[1],
-            "snapshot bytes must not depend on --jobs"
-        );
-        // And the hand-assembled document round-trips through serde.
-        let parsed: Snapshot<Pref> = serde_json::from_slice(&snaps[0]).unwrap();
-        assert_eq!(parsed.rows.len(), 64);
-        assert_eq!(parsed.next_id, 64);
+        t.delete(3).unwrap();
+        t.snapshot().unwrap();
+        let bytes = std::fs::read(dir.path().join("prefs.snap")).unwrap();
+        let parsed: Snapshot<Pref> = serde_json::from_slice(&bytes).unwrap();
+        assert_eq!((parsed.rows.len(), parsed.next_id), (63, 64));
+        assert_eq!(bytes, serde_json::to_vec(&parsed).unwrap());
     }
 
     #[test]
@@ -422,7 +386,6 @@ mod tests {
             matches!(op, WalOp::Compact).then(|| io::Error::other("injected: wal_compact"))
         });
         assert!(matches!(t.snapshot(), Err(TableError::Io(_))));
-        assert!(matches!(t.compact(2), Err(TableError::Io(_))));
         // Nothing was published and the log is untouched.
         assert!(!dir.path().join("prefs.snap").exists());
         assert!(t.log().wal_bytes() > 0);

@@ -15,7 +15,6 @@
 //! as the debris of an interrupted write and truncated on the next append.
 
 use crate::crc32::crc32;
-use bytes::{BufMut, BytesMut};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::ops::ControlFlow;
@@ -114,11 +113,6 @@ impl Wal {
         self.valid_len
     }
 
-    /// Bytes physically on disk, including torn-tail debris.
-    pub fn physical_bytes(&self) -> u64 {
-        self.physical_len
-    }
-
     /// True when the file carries bytes beyond the valid prefix — the
     /// debris of an interrupted write.
     pub fn has_torn_tail(&self) -> bool {
@@ -141,10 +135,10 @@ impl Wal {
             self.file.set_len(self.valid_len)?;
             self.physical_len = self.valid_len;
         }
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
-        buf.put_u32_le(payload.len() as u32);
-        buf.put_u32_le(crc32(payload));
-        buf.put_slice(payload);
+        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&crc32(payload).to_le_bytes());
+        buf.extend_from_slice(payload);
         // The file is opened in append mode: every write lands at EOF,
         // which equals `valid_len` once the debris (if any) is truncated
         // above — no per-append seek syscall needed.
@@ -160,15 +154,6 @@ impl Wal {
             return Err(err);
         }
         self.file.sync_data()
-    }
-
-    /// A duplicated handle to the log file. Appends write through to the
-    /// kernel (no userspace buffering), so `sync_data` on the clone makes
-    /// every record appended so far durable — this is what lets a group
-    /// commit leader fsync *outside* the table lock while writers keep
-    /// appending.
-    pub(crate) fn file_clone(&self) -> io::Result<File> {
-        self.file.try_clone()
     }
 
     /// Streams every valid record to `visit`, in file order, through one
@@ -208,6 +193,12 @@ impl Wal {
         if let Some(err) = self.injected_fault(WalOp::Truncate) {
             return Err(err);
         }
+        self.cut_to(offset)
+    }
+
+    /// [`Wal::truncate_to`] for a caller that has consulted the fault hook
+    /// already.
+    pub(crate) fn cut_to(&mut self, offset: u64) -> io::Result<()> {
         self.file.set_len(offset)?;
         self.valid_len = offset;
         self.physical_len = offset;

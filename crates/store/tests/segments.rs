@@ -212,7 +212,7 @@ fn crash_between_snapshot_publish_and_segment_removal_loses_nothing() {
         t.set_wal_fault_hook(|op| {
             matches!(op, WalOp::Truncate).then(|| std::io::Error::other("injected: power loss"))
         });
-        let err = t.compact(4).expect_err("compaction must surface the crash");
+        let err = t.snapshot().expect_err("compaction must surface the crash");
         assert!(err.to_string().contains("power loss"), "{err}");
     }
 
@@ -254,7 +254,7 @@ fn compaction_collapses_segments_and_preserves_state() {
     {
         let mut t = open_small(dir.path());
         assert!(t.log().sealed_count() > 0);
-        t.compact(4).unwrap();
+        t.snapshot().unwrap();
         assert_eq!(t.log().wal_bytes(), 0);
         assert_eq!(
             t.log().sealed_count(),
@@ -332,6 +332,7 @@ fn undecodable_record_in_a_sealed_segment_ends_the_row_less_log_there() {
     let dir = tempdir().unwrap();
     let (cut_seq, survivors) = plant_undecodable_in_sealed_segment(dir.path());
     let open = |seen: &mut Vec<u64>| {
+        seen.clear();
         Log::<Row>::open_with(
             dir.path(),
             "rows",
@@ -349,13 +350,54 @@ fn undecodable_record_in_a_sealed_segment_ends_the_row_less_log_there() {
         let mut log = open(&mut seen);
         let prefix: Vec<u64> = (0..survivors as u64).collect();
         assert_eq!(seen, prefix, "replay stops at the planted record");
-        assert_eq!(log.len(), survivors);
         assert_eq!(last_seq(dir.path()), cut_seq, "later segments removed");
         assert_eq!(log.insert(&row(999)).unwrap(), survivors as u64);
         log.sync().unwrap();
     }
-    seen.clear();
-    let log = open(&mut seen);
-    assert_eq!(log.len(), survivors + 1, "the append after reopen survives");
+    open(&mut seen);
+    assert_eq!(
+        seen.len(),
+        survivors + 1,
+        "the append after reopen survives"
+    );
     assert_eq!(seen.last(), Some(&(survivors as u64)));
+}
+
+/// Compaction that fails part-way must leave a suffix of the log, not a
+/// prefix. Row 0 is inserted in the oldest segment and deleted in the
+/// active one; the unlink of the oldest segment fails inside `snapshot()`
+/// (a directory sits at its path), and the file is then put back, which is
+/// what a crash at that point leaves on disk. Had the active segment been
+/// truncated before the sealed ones were unlinked, reopening would replay
+/// the old insert over the published snapshot and row 0 would come back.
+#[test]
+fn failed_segment_unlink_during_compaction_resurrects_no_deleted_row() {
+    let dir = tempdir().unwrap();
+    let open = || Table::open_with(dir.path(), "rows", SegmentConfig::with_segment_bytes(128));
+    let oldest = dir.path().join("rows.wal.1");
+    let aside = dir.path().join("rows.wal.1.aside");
+    {
+        let mut t: Table<Row> = open().unwrap();
+        for i in 0..21 {
+            t.insert(row(i)).unwrap();
+        }
+        t.delete(0).unwrap();
+        t.sync().unwrap();
+        assert!(
+            t.log().sealed_count() >= 2,
+            "row 0 must sit in a sealed segment"
+        );
+        std::fs::rename(&oldest, &aside).unwrap();
+        std::fs::create_dir(&oldest).unwrap();
+        assert!(t.snapshot().is_err(), "the unlink of rows.wal.1 fails");
+    }
+    std::fs::remove_dir(&oldest).unwrap();
+    std::fs::rename(&aside, &oldest).unwrap();
+
+    let t: Table<Row> = open().unwrap();
+    assert_eq!(t.len(), 20);
+    assert_eq!(t.get(0), None, "the deleted row stays deleted");
+    for i in 1..21 {
+        assert_eq!(t.get(i as u64), Some(&row(i)));
+    }
 }

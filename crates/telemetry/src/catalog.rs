@@ -263,12 +263,6 @@ pub const METRICS: &[MetricDef] = &[
         help: "table compactions completed (snapshot published, log truncated)",
     },
     MetricDef {
-        name: "store.group_commit_batch",
-        kind: MetricKind::Histogram,
-        labels: &[],
-        help: "sync() callers acknowledged per group-commit fsync",
-    },
-    MetricDef {
         name: "store.recovery_micros",
         kind: MetricKind::Histogram,
         labels: &[],

@@ -155,6 +155,12 @@ impl TraceGenerator {
     }
 
     /// Generates the hourly series for one zone.
+    pub fn generate_zone(&self, zone: &str) -> ZoneTrace {
+        self.zone_trace(zone, &self.climate.hour_table())
+    }
+
+    /// [`Self::generate_zone`] over `hours`, this climate's
+    /// [`ClimateModel::hour_table`], which a multi-zone trace builds once.
     ///
     /// The loop steps by day. Months are whole days and the horizon starts
     /// at midnight, so each day decomposes once, draws its weather, and
@@ -162,7 +168,7 @@ impl TraceGenerator {
     /// when the horizon ends mid-day. The draws keep one order, which fixes
     /// the series' bits: the day's anomaly and clouds at midnight, then each
     /// hour's temperature noise and, in waking hours, its door draws.
-    pub fn generate_zone(&self, zone: &str) -> ZoneTrace {
+    fn zone_trace(&self, zone: &str, hours: &[[(f64, Option<f64>); 24]; 12]) -> ZoneTrace {
         let mut rng = self.zone_rng(zone);
         let n = self.horizon_hours as usize;
         let mut temperature = Vec::with_capacity(n);
@@ -173,7 +179,6 @@ impl TraceGenerator {
         // Small fixed per-zone offsets make replicated zones distinct.
         let zone_temp_offset: f64 = rng.gen_range(-0.8..0.8);
         let zone_light_factor: f64 = rng.gen_range(0.85..1.0);
-        let hours = self.climate.hour_table();
         let door_p = (self.climate.door_openings_per_day / 16.0).clamp(0.0, 1.0);
 
         for day_start in (0..self.horizon_hours).step_by(HOURS_PER_DAY as usize) {
@@ -210,9 +215,10 @@ impl TraceGenerator {
 
     /// Generates a multi-zone trace.
     pub fn generate(&self, zones: &[&str]) -> Trace {
+        let hours = self.climate.hour_table();
         Trace::new(
             self.calendar,
-            zones.iter().map(|z| self.generate_zone(z)).collect(),
+            zones.iter().map(|z| self.zone_trace(z, &hours)).collect(),
         )
     }
 

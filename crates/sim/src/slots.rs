@@ -29,7 +29,7 @@ use imcf_core::candidate::{CandidateRule, PlanningSlot};
 use imcf_core::ecp::Ecp;
 use imcf_devices::energy::{DeviceEnergyModel, HvacModel, LightModel};
 use imcf_rules::action::{Action, DeviceClass};
-use imcf_rules::env::{EnvSnapshot, Season};
+use imcf_rules::env::{EnvSnapshot, Season, Weather};
 use imcf_rules::meta_rule::{MetaRule, RuleClass};
 use imcf_rules::mrt::Mrt;
 use imcf_traces::series::Trace;
@@ -228,55 +228,47 @@ impl<'a> SlotBuilder<'a> {
         }
     }
 
-    /// The environment snapshot of one zone at an hour (the IFTTT engine's
-    /// view of the world).
-    fn env_for(&self, zone_idx: usize, hour_index: u64) -> EnvSnapshot {
-        let zone = &self.dataset.trace.zones[zone_idx];
-        let dt = self.dataset.trace.calendar.decompose(hour_index);
-        let light = zone.light.at(hour_index);
+    /// Builds the slot for one hour.
+    ///
+    /// The hour decomposes once for every zone, and each zone's ambient
+    /// values are read once, for both its IFTTT snapshot (the engine's view
+    /// of the world) and its candidates.
+    pub fn slot_at(&self, hour_index: u64) -> PlanningSlot {
+        let trace = &self.dataset.trace;
+        let at = trace.calendar.decompose(hour_index);
         // Classify the day's sky condition from the noon reading: a bright
         // noon implies a clear day (the trigger-action platform's weather
         // feed reports sky condition, not instantaneous indoor light).
-        let day_start = hour_index - (dt.hour as u64);
+        let day_start = hour_index - u64::from(at.hour);
         let noon = (day_start + 12).min(self.dataset.horizon_hours - 1);
-        let weather = if zone.light.at(noon) > 33.0 {
-            imcf_rules::env::Weather::Sunny
-        } else {
-            imcf_rules::env::Weather::Cloudy
-        };
-        EnvSnapshot {
-            month: dt.month,
-            hour: dt.hour,
-            minute: 0,
-            season: Season::from_month(dt.month),
-            weather,
-            temperature: zone.temperature.at(hour_index),
-            light_level: light,
-            door_open: zone.door_open.at(hour_index) > 0.05,
-        }
-    }
-
-    /// Builds the slot for one hour.
-    pub fn slot_at(&self, hour_index: u64) -> PlanningSlot {
-        let hour_of_day = self.dataset.trace.calendar.hour_of_day(hour_index);
+        let season = Season::from_month(at.month);
         let pricing = &self.dataset.pricing;
-        let mut candidates = Vec::new();
-        for (zone_idx, (zone, table)) in self
-            .dataset
-            .trace
-            .zones
-            .iter()
-            .zip(&self.tables)
-            .enumerate()
-        {
-            let active = table.at(hour_of_day);
+        // Room for every active rule: only budget rows make no candidate.
+        let capacity = self.tables.iter().map(|t| t.at(at.hour).len()).sum();
+        let mut candidates = Vec::with_capacity(capacity);
+        for (zone, table) in trace.zones.iter().zip(&self.tables) {
+            let active = table.at(at.hour);
             if active.is_empty() {
                 continue;
             }
-            let env = self.env_for(zone_idx, hour_index);
-            let ifttt_actions = self.dataset.ifttt.resolve(&env);
             let ambient_temp = zone.temperature.at(hour_index);
             let ambient_light = zone.light.at(hour_index);
+            let weather = if zone.light.at(noon) > 33.0 {
+                Weather::Sunny
+            } else {
+                Weather::Cloudy
+            };
+            let env = EnvSnapshot {
+                month: at.month,
+                hour: at.hour,
+                minute: 0,
+                season,
+                weather,
+                temperature: ambient_temp,
+                light_level: ambient_light,
+                door_open: zone.door_open.at(hour_index) > 0.05,
+            };
+            let ifttt_actions = self.dataset.ifttt.resolve(&env);
             for rule in active {
                 let Some(mut c) = candidate(rule, &zone.zone, ambient_temp, ambient_light, pricing)
                 else {

@@ -45,7 +45,7 @@ fn dataset_hash(kind: DatasetKind) -> String {
     let mut hash = FNV_OFFSET;
     for zone in &dataset.trace.zones {
         for series in [&zone.temperature, &zone.light, &zone.door_open] {
-            hash = series.values().iter().fold(hash, |h, &v| fnv1a(h, v));
+            hash = series.iter().fold(hash, fnv1a);
         }
     }
     let ecp = dataset.derive_mr_ecp();

@@ -1,36 +1,43 @@
 //! Replay memory is one record, not the history.
 //!
-//! A counting global allocator tracks the live heap and its high-water
-//! mark, so each case measures what reopening (or appending to) a log
-//! costs in memory. This binary holds nothing else: the counters are
-//! process-wide, and the cases take turns through one lock.
+//! A counting global allocator tracks each thread's live heap and its
+//! high-water mark, so each case measures what reopening (or appending to)
+//! a log costs in memory on its own thread, whatever the test harness or
+//! the other case allocates meanwhile.
 
 use serde::{Deserialize, Serialize};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use imcf_store::{Change, Log};
 
-/// Forwards to the system allocator, counting live bytes and their peak.
+/// Forwards to the system allocator, counting live bytes and their peak
+/// per thread. A block freed on another thread than the one that allocated
+/// it moves both threads' counts, so they are signed.
 struct Counting;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
 
 fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
-    PEAK.fetch_max(live, Ordering::SeqCst);
+    // `try_with`: a thread being torn down still allocates and frees.
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + bytes as isize;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
 }
 
 fn shrank(bytes: usize) {
-    LIVE.fetch_sub(bytes, Ordering::SeqCst);
+    let _ = LIVE.try_with(|live| live.set(live.get() - bytes as isize));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the bookkeeping only touches atomics
-// and never allocates.
+// upholds the `GlobalAlloc` contract; the bookkeeping only touches
+// const-initialized thread-local cells and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller upholds `alloc`'s contract for `layout`.
@@ -65,13 +72,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// The cases share the process-wide counters, so they run one at a time.
-static TURN: Mutex<()> = Mutex::new(());
-
-/// Live heap now, after resetting the peak to it.
-fn baseline() -> usize {
-    let live = LIVE.load(Ordering::SeqCst);
-    PEAK.store(live, Ordering::SeqCst);
+/// This thread's live heap now, after resetting its peak to it.
+fn baseline() -> isize {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
     live
 }
 
@@ -95,7 +99,6 @@ fn window(i: usize, bytes: usize) -> Window {
 /// fold does.
 #[test]
 fn reopening_a_long_log_holds_one_record_not_the_history() {
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tempfile::tempdir().unwrap();
     {
         let mut log: Log<Window> = Log::open(dir.path(), "tsdb", |_| {}).unwrap();
@@ -116,7 +119,7 @@ fn reopening_a_long_log_holds_one_record_not_the_history() {
         }
     })
     .unwrap();
-    let peak = PEAK.load(Ordering::SeqCst) - before;
+    let peak = (PEAK.with(Cell::get) - before) as usize;
     assert_eq!(newest.len(), 16);
     assert!(
         peak <= 4 * MIB,
@@ -131,7 +134,6 @@ fn reopening_a_long_log_holds_one_record_not_the_history() {
 /// behind (2,000 rows of 4 KiB fill eight 1 MiB segments).
 #[test]
 fn appending_to_a_row_less_log_does_not_grow_the_heap_with_rows() {
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     const ROWS: usize = 2_000;
     const ROW_BYTES: usize = 4 * 1024;
     const GROWTH_BYTES: usize = 4 * 1024;
@@ -143,7 +145,7 @@ fn appending_to_a_row_less_log_does_not_grow_the_heap_with_rows() {
     for _ in 0..ROWS {
         log.insert(&row).unwrap();
     }
-    let grown = LIVE.load(Ordering::SeqCst).saturating_sub(before);
+    let grown = (LIVE.with(Cell::get) - before).max(0) as usize;
     assert!(log.sealed_count() >= 7, "the appends must seal segments");
     assert!(
         grown <= GROWTH_BYTES,

@@ -17,12 +17,15 @@
 //! Everything is deterministic under `(seed, zone)`.
 
 use crate::reading::{SensorKind, SensorReading};
-use crate::series::{HourlySeries, Trace, ZoneTrace};
+use crate::series::{ClearSky, HourlySeries, Sparse, Trace, ZoneTrace};
 use imcf_core::calendar::{PaperCalendar, HOURS_PER_DAY};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+const DAY: usize = HOURS_PER_DAY as usize;
 
 /// The climate parameters driving trace synthesis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -106,16 +109,10 @@ impl ClimateModel {
         Some(self.peak_daylight * x.sin())
     }
 
-    /// [`Self::outdoor_c`] and [`Self::daylight`] for every
-    /// `(month, hour_of_day)`, January first: the part of each hour that
-    /// does not depend on the day's weather.
-    fn hour_table(&self) -> [[(f64, Option<f64>); 24]; 12] {
-        std::array::from_fn(|m| {
-            std::array::from_fn(|h| {
-                let (month, hour) = (m as u32 + 1, h as u32);
-                (self.outdoor_c(month, hour), self.daylight(month, hour))
-            })
-        })
+    /// `f` at every `(month, hour_of_day)`, January first: the part of
+    /// each hour that does not depend on the day's weather.
+    fn hour_table<T>(&self, f: fn(&Self, u32, u32) -> T) -> [[T; 24]; 12] {
+        std::array::from_fn(|m| std::array::from_fn(|h| f(self, m as u32 + 1, h as u32)))
     }
 }
 
@@ -156,24 +153,45 @@ impl TraceGenerator {
 
     /// Generates the hourly series for one zone.
     pub fn generate_zone(&self, zone: &str) -> ZoneTrace {
-        self.zone_trace(zone, &self.climate.hour_table())
+        let outdoor = self.climate.hour_table(ClimateModel::outdoor_c);
+        self.zone_trace(zone, &outdoor, &self.clear_sky())
     }
 
-    /// [`Self::generate_zone`] over `hours`, this climate's
-    /// [`ClimateModel::hour_table`], which a multi-zone trace builds once.
+    /// The clear-sky daylight over this horizon, which every zone's light
+    /// reads: [`ClimateModel::daylight`] for every `(month, hour_of_day)`,
+    /// and each day's month. Months are whole days and the horizon starts
+    /// at midnight, so each day decomposes once, here.
+    fn clear_sky(&self) -> Arc<ClearSky> {
+        let months = (0..self.horizon_hours.div_ceil(HOURS_PER_DAY))
+            .map(|day| {
+                let at = self.calendar.decompose(day * HOURS_PER_DAY);
+                debug_assert_eq!(at.hour, 0, "days start at midnight");
+                (at.month - 1) as u8
+            })
+            .collect();
+        let levels = self.climate.hour_table(ClimateModel::daylight);
+        Arc::new(ClearSky { levels, months })
+    }
+
+    /// [`Self::generate_zone`] over `outdoor`, this climate's
+    /// [`ClimateModel::outdoor_c`] table, and `sky`, this generator's
+    /// [`Self::clear_sky`], both of which a multi-zone trace builds once.
     ///
-    /// The loop steps by day. Months are whole days and the horizon starts
-    /// at midnight, so each day decomposes once, draws its weather, and
-    /// reads one month's row of the hour table; the last day is partial
-    /// when the horizon ends mid-day. The draws keep one order, which fixes
-    /// the series' bits: the day's anomaly and clouds at midnight, then each
-    /// hour's temperature noise and, in waking hours, its door draws.
-    fn zone_trace(&self, zone: &str, hours: &[[(f64, Option<f64>); 24]; 12]) -> ZoneTrace {
+    /// The loop steps by day, reading one month's row of the outdoor table;
+    /// the last day is partial when the horizon ends mid-day. The draws
+    /// keep one order, which fixes the series' bits: the day's anomaly and
+    /// clouds at midnight, then each hour's temperature noise and, in
+    /// waking hours, its door draws. Each series is stored as it is drawn:
+    /// the temperature densely, the light as the day's cloud draw over
+    /// `sky`, and the door's few non-zero hours sparsely.
+    fn zone_trace(&self, zone: &str, outdoor: &[[f64; 24]; 12], sky: &Arc<ClearSky>) -> ZoneTrace {
         let mut rng = self.zone_rng(zone);
         let n = self.horizon_hours as usize;
         let mut temperature = Vec::with_capacity(n);
-        let mut light = Vec::with_capacity(n);
-        let mut door = Vec::with_capacity(n);
+        let mut clouds = Vec::with_capacity(sky.months.len());
+        // A door opens in about a quarter of the hours; `finish` trims the
+        // spare room.
+        let mut door = Sparse::with_capacity(n, n / 3);
 
         let mut anomaly = 0.0f64;
         // Small fixed per-zone offsets make replicated zones distinct.
@@ -181,20 +199,15 @@ impl TraceGenerator {
         let zone_light_factor: f64 = rng.gen_range(0.85..1.0);
         let door_p = (self.climate.door_openings_per_day / 16.0).clamp(0.0, 1.0);
 
-        for day_start in (0..self.horizon_hours).step_by(HOURS_PER_DAY as usize) {
-            let dt = self.calendar.decompose(day_start);
-            debug_assert_eq!(dt.hour, 0, "days start at midnight");
+        for (day, &month) in sky.months.iter().enumerate() {
             // New day: evolve the weather anomaly and redraw clouds.
             let innovation: f64 = rng.gen_range(-1.0..1.0) * self.climate.anomaly_std_c * 1.7;
             anomaly = self.climate.anomaly_persistence * anomaly + innovation;
-            let cloud = rng.gen_range(0.35..1.0f64);
-            let day_hours = (self.horizon_hours - day_start).min(HOURS_PER_DAY) as usize;
-            let row = &hours[dt.month as usize - 1][..day_hours];
-            for (hour, &(outdoor, clear_daylight)) in row.iter().enumerate() {
+            clouds.push(rng.gen_range(0.35..1.0f64));
+            let day_hours = (n - day * DAY).min(DAY);
+            for (hour, &outdoor) in outdoor[usize::from(month)][..day_hours].iter().enumerate() {
                 let indoor = self.climate.indoor_c(outdoor + anomaly) + zone_temp_offset;
                 temperature.push(indoor + rng.gen_range(-0.2..0.2));
-                let daylight = clear_daylight.map_or(0.0, |l| (l * cloud).clamp(0.0, 100.0));
-                light.push(daylight * zone_light_factor);
                 // Door openings cluster in waking hours (07:00–23:00).
                 let open_frac = if (7..23).contains(&hour) && rng.gen_bool(door_p) {
                     rng.gen_range(0.02..0.15)
@@ -208,17 +221,21 @@ impl TraceGenerator {
         ZoneTrace {
             zone: zone.to_string(),
             temperature: HourlySeries::new(temperature),
-            light: HourlySeries::new(light),
-            door_open: HourlySeries::new(door),
+            light: HourlySeries::daylight(Arc::clone(sky), clouds, zone_light_factor, n),
+            door_open: door.finish(),
         }
     }
 
     /// Generates a multi-zone trace.
     pub fn generate(&self, zones: &[&str]) -> Trace {
-        let hours = self.climate.hour_table();
+        let outdoor = self.climate.hour_table(ClimateModel::outdoor_c);
+        let sky = self.clear_sky();
         Trace::new(
             self.calendar,
-            zones.iter().map(|z| self.zone_trace(z, &hours)).collect(),
+            zones
+                .iter()
+                .map(|z| self.zone_trace(z, &outdoor, &sky))
+                .collect(),
         )
     }
 
@@ -290,12 +307,8 @@ mod tests {
         assert_ne!(a.temperature, b.temperature);
         // Same seasonal structure: January colder than July in both.
         for z in [&a, &b] {
-            let jan = z.temperature.values()[..744].iter().sum::<f64>() / 744.0;
-            let jul_start = 6 * 744;
-            let jul = z.temperature.values()[jul_start..jul_start + 744]
-                .iter()
-                .sum::<f64>()
-                / 744.0;
+            let jan = z.temperature.iter().take(744).sum::<f64>() / 744.0;
+            let jul = z.temperature.iter().skip(6 * 744).take(744).sum::<f64>() / 744.0;
             assert!(
                 jul > jan + 5.0,
                 "summer should be much warmer ({jan:.1} vs {jul:.1})"
@@ -326,7 +339,7 @@ mod tests {
     #[test]
     fn daylight_respects_day_length() {
         let c = ClimateModel::mediterranean();
-        let table = c.hour_table();
+        let table = c.hour_table(ClimateModel::daylight);
         // Midnight dark in any month.
         for month in 1..=12 {
             assert_eq!(c.daylight(month, 0), None);
@@ -334,7 +347,7 @@ mod tests {
         // Noon bright on a clear June day.
         assert!(c.daylight(6, 12).is_some_and(|l| l > 60.0));
         // June has more daylight hours than December.
-        let lit = |m: usize| table[m].iter().filter(|(_, l)| l.is_some()).count();
+        let lit = |m: usize| table[m].iter().filter(|l| l.is_some()).count();
         assert!(lit(5) > lit(11), "june {} vs december {}", lit(5), lit(11));
     }
 
@@ -342,13 +355,85 @@ mod tests {
     fn door_fractions_bounded_and_nocturnal_doors_closed() {
         let g = small_generator();
         let z = g.generate_zone("flat");
-        for (h, v) in z.door_open.values().iter().enumerate() {
-            assert!((0.0..=1.0).contains(v));
+        for (h, v) in z.door_open.iter().enumerate() {
+            assert!((0.0..=1.0).contains(&v));
             let hour_of_day = h % 24;
             if !(7..23).contains(&hour_of_day) {
-                assert_eq!(*v, 0.0, "door open at hour {hour_of_day}");
+                assert_eq!(v, 0.0, "door open at hour {hour_of_day}");
             }
         }
+    }
+
+    /// The synthesizer with every series dense and each hour's light
+    /// computed inline, stepping hour by hour through the calendar: it
+    /// draws what `zone_trace` draws, in the same order.
+    fn dense_reference(g: &TraceGenerator, zone: &str) -> [Vec<f64>; 3] {
+        let mut rng = g.zone_rng(zone);
+        let [mut temperature, mut light, mut door] = [Vec::new(), Vec::new(), Vec::new()];
+        let (mut anomaly, mut cloud) = (0.0f64, 0.0f64);
+        let zone_temp_offset: f64 = rng.gen_range(-0.8..0.8);
+        let zone_light_factor: f64 = rng.gen_range(0.85..1.0);
+        let door_p = (g.climate.door_openings_per_day / 16.0).clamp(0.0, 1.0);
+        for h in 0..g.horizon_hours {
+            let dt = g.calendar.decompose(h);
+            if dt.hour == 0 {
+                let innovation: f64 = rng.gen_range(-1.0..1.0) * g.climate.anomaly_std_c * 1.7;
+                anomaly = g.climate.anomaly_persistence * anomaly + innovation;
+                cloud = rng.gen_range(0.35..1.0f64);
+            }
+            let outdoor = g.climate.outdoor_c(dt.month, dt.hour) + anomaly;
+            let indoor = g.climate.indoor_c(outdoor) + zone_temp_offset;
+            temperature.push(indoor + rng.gen_range(-0.2..0.2));
+            let clear = g.climate.daylight(dt.month, dt.hour);
+            let daylight = clear.map_or(0.0, |l| (l * cloud).clamp(0.0, 100.0));
+            light.push(daylight * zone_light_factor);
+            let waking = (7..23).contains(&dt.hour);
+            door.push(if waking && rng.gen_bool(door_p) {
+                rng.gen_range(0.02..0.15)
+            } else {
+                0.0
+            });
+        }
+        [temperature, light, door]
+    }
+
+    #[test]
+    fn every_encoding_holds_the_dense_synthesizers_bits() {
+        // 100 hours end mid-day; 800 cross a month boundary and end mid-day.
+        for (start_month, hours, seed) in [(1, 100, 0), (10, 100, 1), (1, 800, 2), (10, 800, 3)] {
+            let g = TraceGenerator {
+                calendar: PaperCalendar::starting_in(start_month),
+                horizon_hours: hours,
+                seed,
+                ..small_generator()
+            };
+            let z = g.generate_zone("zone007");
+            let series = [&z.temperature, &z.light, &z.door_open];
+            for (name, (got, want)) in ["temperature", "light", "door"]
+                .into_iter()
+                .zip(series.into_iter().zip(dense_reference(&g, "zone007")))
+            {
+                assert_eq!(got.len(), want.len(), "{name}");
+                for (h, want) in want.into_iter().enumerate() {
+                    let got = got.at(h as u64);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{name} at hour {h} of {hours} from month {start_month}: {got} vs {want}"
+                    );
+                }
+                let past = std::panic::catch_unwind(|| got.at(hours));
+                assert!(past.is_err(), "{name} answered for hour {hours}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_multi_zone_trace_matches_its_zones_generated_alone() {
+        let t = small_generator().generate(&["a", "b"]);
+        assert_eq!(t.zones[0], small_generator().generate_zone("a"));
+        assert_eq!(t.zones[1], small_generator().generate_zone("b"));
+        assert_ne!(t.zones[0].light, t.zones[1].light);
     }
 
     #[test]

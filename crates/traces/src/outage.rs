@@ -85,12 +85,12 @@ impl OutagePlan {
     pub fn apply_to_series(&self, series: &HourlySeries, fallback: f64) -> HourlySeries {
         let mut out = Vec::with_capacity(series.len());
         let mut last_good = fallback;
-        for (h, v) in series.values().iter().enumerate() {
+        for (h, v) in series.iter().enumerate() {
             if self.covers(h as u64) {
                 out.push(last_good);
             } else {
-                last_good = *v;
-                out.push(*v);
+                last_good = v;
+                out.push(v);
             }
         }
         HourlySeries::new(out)
@@ -130,8 +130,8 @@ mod tests {
         let plan = OutagePlan::from_windows(vec![Outage { start: 3, hours: 4 }]);
         let out = plan.apply_to_series(&series(), -1.0);
         assert_eq!(
-            out.values(),
-            &[0.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 7.0, 8.0, 9.0]
+            out.iter().collect::<Vec<_>>(),
+            [0.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 7.0, 8.0, 9.0]
         );
     }
 
@@ -139,7 +139,7 @@ mod tests {
     fn outage_at_start_uses_fallback() {
         let plan = OutagePlan::from_windows(vec![Outage { start: 0, hours: 2 }]);
         let out = plan.apply_to_series(&series(), -1.0);
-        assert_eq!(&out.values()[..3], &[-1.0, -1.0, 2.0]);
+        assert_eq!(out.iter().take(3).collect::<Vec<_>>(), [-1.0, -1.0, 2.0]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! (ECP-shaped) on the flat dataset, with and without budget carry-over.
 //!
 //! The eight (formula × carry-over) cells are independent planning runs
-//! and fan out over `--jobs N` workers (default: `IMCF_JOBS`, else all
+//! and fan out over `--jobs N` workers (default: all
 //! cores); results are byte-identical for every worker count.
 //!
 //! The design point this documents: with strict per-hour caps (no

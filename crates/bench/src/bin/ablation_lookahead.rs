@@ -10,7 +10,7 @@
 //!
 //! The forecast-training probe is a shared sequential prefix; the four
 //! (plan × carry-over) evaluation cells then fan out over `--jobs N`
-//! workers (default: `IMCF_JOBS`, else all cores); results are
+//! workers (default: all cores); results are
 //! byte-identical for every worker count.
 
 use imcf_bench::harness::{build_bundles, jobs};

@@ -5,8 +5,8 @@
 //! how close each heuristic gets to the per-slot optimum.
 //!
 //! Each (dataset × optimizer) cell is an independent full planning run, so
-//! the six cells fan out over `--jobs N` workers (default: `IMCF_JOBS`,
-//! else all cores); results are byte-identical for every worker count.
+//! the six cells fan out over `--jobs N` workers (default: all cores);
+//! results are byte-identical for every worker count.
 
 use imcf_bench::harness::{build_bundles, jobs};
 use imcf_core::amortization::ApKind;

@@ -6,7 +6,7 @@
 //! 0..reps and reports mean ± stdev; the baselines are deterministic.
 //!
 //! Every (dataset × method × seed) cell is independent, so the grid fans
-//! out over `--jobs N` workers (default: `IMCF_JOBS`, else all cores);
+//! out over `--jobs N` workers (default: all cores);
 //! results and artifacts are byte-identical for every worker count
 //! (wall-clock F_T aside).
 //!
@@ -125,7 +125,7 @@ fn main() {
         Err(e) => eprintln!("warning: could not write artifacts: {e}"),
     }
     if imcf_bench::harness::trace_artifact_requested() {
-        match imcf_bench::harness::write_trace_artifact("fig6_performance", &bundles[0], jobs) {
+        match imcf_bench::harness::write_trace_artifact("fig6_performance", &bundles[0]) {
             Ok(path) => println!("trace artifact: {}", path.display()),
             Err(e) => eprintln!("warning: could not write trace artifact: {e}"),
         }

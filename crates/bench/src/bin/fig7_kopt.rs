@@ -3,7 +3,7 @@
 //! from 1 to 4, on all three datasets.
 //!
 //! The full (dataset × k × seed) grid fans out over `--jobs N` workers
-//! (default: `IMCF_JOBS`, else all cores); results are byte-identical for
+//! (default: all cores); results are byte-identical for
 //! every worker count.
 //!
 //! Expected shape (paper): F_CE decreases as k grows (bigger jumps explore

@@ -4,7 +4,7 @@
 //! all three datasets.
 //!
 //! The full (dataset × strategy × seed) grid fans out over `--jobs N`
-//! workers (default: `IMCF_JOBS`, else all cores); results are
+//! workers (default: all cores); results are
 //! byte-identical for every worker count.
 //!
 //! Expected shape (paper): moving all-1s → random → all-0s increases F_CE

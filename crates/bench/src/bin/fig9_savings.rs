@@ -4,7 +4,7 @@
 //! inter-dormitory competition (8 % target savings).
 //!
 //! The full (dataset × savings × seed) grid fans out over `--jobs N`
-//! workers (default: `IMCF_JOBS`, else all cores); results are
+//! workers (default: all cores); results are
 //! byte-identical for every worker count.
 //!
 //! Expected shape (paper): increasing savings tightens the amortized budget
@@ -78,7 +78,7 @@ fn main() {
         Err(e) => eprintln!("warning: could not write artifacts: {e}"),
     }
     if imcf_bench::harness::trace_artifact_requested() {
-        match imcf_bench::harness::write_trace_artifact("fig9_savings", &bundles[0], jobs) {
+        match imcf_bench::harness::write_trace_artifact("fig9_savings", &bundles[0]) {
             Ok(path) => println!("trace artifact: {}", path.display()),
             Err(e) => eprintln!("warning: could not write trace artifact: {e}"),
         }

@@ -8,10 +8,10 @@
 //!
 //! Every (method × dataset × seed × grid-point) cell of the evaluation is
 //! an independent deterministic computation, so the grid runners —
-//! [`build_bundles`], [`run_grid`], [`ep_sweep`] — fan cells out over an
-//! `imcf-pool` scope. Worker count comes from [`jobs`] (`--jobs N` flag →
-//! `IMCF_JOBS` env var → available cores); results always come back in
-//! cell order, so experiment output and JSON artifacts are **byte-identical
+//! [`build_bundles`], [`run_grid`], [`ep_sweep`] — fan cells out with
+//! `imcf_pool::map_indexed`. Worker count comes from [`jobs`] (`--jobs N`,
+//! else the available cores); results always come back in cell order, so
+//! experiment output and JSON artifacts are **byte-identical
 //! for every worker count** (wall-clock `F_T` fields aside, which measure
 //! real elapsed time). Unlike [`run_method`], the grid runners never reset
 //! the global telemetry registry — concurrent cells share it, so the
@@ -142,9 +142,13 @@ fn run_method_inner(bundle: &DatasetBundle, method: Method) -> RunMetrics {
 }
 
 /// Worker count for experiment fan-out: the binary's `--jobs N` flag,
-/// else the `IMCF_JOBS` environment variable, else the available cores.
+/// else the available cores. A malformed `--jobs` ends the process with a
+/// message and exit status 1.
 pub fn jobs() -> usize {
-    imcf_pool::jobs_from_args(std::env::args())
+    imcf_pool::jobs_from_args(std::env::args()).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(1);
+    })
 }
 
 /// Builds one [`DatasetBundle`] per kind (all seeded identically),
@@ -193,9 +197,9 @@ pub struct SweepPoint {
 /// Runs EP over every `(point, seed)` cell — seeds `0..reps` per point, as
 /// in the paper — concurrently on `jobs` workers, and aggregates each
 /// point's repetitions. Summaries come back in point order and are
-/// bit-identical to the sequential [`ep_summary`] loop: every cell derives
-/// its planner RNG from its own explicit seed, and Welford aggregation
-/// folds repetitions in seed order.
+/// bit-identical at every worker count: every cell derives its planner RNG
+/// from its own explicit seed, and Welford aggregation folds repetitions
+/// in seed order.
 pub fn ep_sweep(
     jobs: usize,
     bundles: &[DatasetBundle],
@@ -203,8 +207,8 @@ pub fn ep_sweep(
     reps: u64,
 ) -> Vec<MetricsSummary> {
     if reps == 0 {
-        // Mirror the sequential ep_summary contract: one (empty) summary
-        // per point, never an empty vector.
+        // One (empty) summary per point, never an empty vector: callers
+        // index `summaries[point]`.
         return points
             .iter()
             .map(|_| MetricsSummary::from_runs(&[] as &[RunMetrics]))
@@ -238,24 +242,6 @@ pub fn repetitions() -> u64 {
         .and_then(|v| v.parse().ok())
         .filter(|n| *n > 0)
         .unwrap_or(10)
-}
-
-/// Runs EP `reps` times with seeds `0..reps` and aggregates.
-pub fn ep_summary(
-    bundle: &DatasetBundle,
-    base: PlannerConfig,
-    ap: ApKind,
-    savings: f64,
-    reps: u64,
-) -> MetricsSummary {
-    let runs: Vec<RunMetrics> = (0..reps)
-        .map(|seed| {
-            let config = PlannerConfig { seed, ..base };
-            let report = ep_run(bundle, config, ap.clone(), savings);
-            metrics_of(&report)
-        })
-        .collect();
-    MetricsSummary::from_runs(&runs)
 }
 
 /// Formats a `mean ± std` cell.
@@ -292,51 +278,50 @@ pub fn trace_artifact_requested() -> bool {
     std::env::var("IMCF_TRACE").is_ok_and(|v| v != "0")
 }
 
-/// Captures the Chrome-trace JSON of a short parallel planning run over
-/// `bundle`: arms the flight recorder, plans the first `hours` slots on
-/// `jobs` workers, and exports the per-slot trace trees in slot order.
+/// Captures the Chrome-trace JSON of a short planning run over `bundle`:
+/// arms the flight recorder, plans the first `hours` slots in order
+/// through `EnergyPlanner::plan_slot` — one trace per slot — and exports
+/// the per-slot trace trees in slot order.
 ///
 /// Trace identity is a pure function of `(seed, hour, index)` and span
 /// timestamps are the per-trace virtual clock, so the returned JSON is
-/// **byte-identical for every `jobs` value** — the tracing counterpart of
-/// the imcf-pool determinism contract (pinned by
+/// **byte-identical from run to run** (pinned by
 /// `tests/trace_determinism.rs`).
-pub fn capture_trace_json(bundle: &DatasetBundle, hours: usize, jobs: usize) -> String {
+pub fn capture_trace_json(bundle: &DatasetBundle, hours: usize) -> String {
     use imcf_telemetry::trace;
 
     let plan = bundle.plan(ApKind::Eaf, 0.0);
     let builder = SlotBuilder::new(&bundle.dataset, &plan);
-    let slots: Vec<_> = builder.iter().take(hours).collect();
     let config = PlannerConfig::default();
-    let ids: Vec<trace::TraceId> = slots
-        .iter()
-        .enumerate()
-        .map(|(i, s)| trace::TraceId::derive(config.seed, s.hour_index, i as u64))
-        .collect();
-
+    let planner = EnergyPlanner::from_config(config);
+    let mut rng = planner.rng();
     let recorder = trace::recorder();
     let was_enabled = recorder.is_enabled();
     recorder.set_enabled(true);
-    let planner = EnergyPlanner::from_config(config).without_carry_over();
-    planner.plan_slots_parallel(slots, jobs);
+    let mut ids = Vec::with_capacity(hours);
+    for (index, slot) in builder.iter().take(hours).enumerate() {
+        let id = trace::TraceId::derive(config.seed, slot.hour_index, index as u64);
+        let _trace = trace::begin(id, || format!("plan/{}", slot.hour_index));
+        planner.plan_slot(&slot, &mut rng);
+        ids.push(id);
+    }
     let json = recorder.chrome_trace_json_for(&ids);
     recorder.set_enabled(was_enabled);
     json
 }
 
 /// Writes `<name>.trace.json` — the Chrome-trace capture of a short
-/// parallel planning run over `bundle` — into [`artifact_dir`]. Load the
-/// file in Chrome `about:tracing` or Perfetto to see per-slot spans and
-/// decision points.
+/// planning run over `bundle` — into [`artifact_dir`]. Load the file in
+/// Chrome `about:tracing` or Perfetto to see per-slot spans and decision
+/// points.
 pub fn write_trace_artifact(
     name: &str,
     bundle: &DatasetBundle,
-    jobs: usize,
 ) -> std::io::Result<std::path::PathBuf> {
     let dir = artifact_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.trace.json"));
-    std::fs::write(&path, capture_trace_json(bundle, 48, jobs))?;
+    std::fs::write(&path, capture_trace_json(bundle, 48))?;
     Ok(path)
 }
 

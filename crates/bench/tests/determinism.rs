@@ -87,8 +87,7 @@ fn repeated_parallel_runs_are_stable() {
 }
 
 /// `ep_sweep` with zero repetitions must still return one (empty) summary
-/// per point, matching the sequential `ep_summary` contract — callers
-/// index `summaries[point]`.
+/// per point — callers index `summaries[point]`.
 #[test]
 fn ep_sweep_zero_reps_yields_one_summary_per_point() {
     let bundles = build_bundles(&[DatasetKind::Flat], 0, 1);

@@ -1,7 +1,7 @@
 //! The CLI subcommands.
 
 use crate::args::Kind::{Choice, Float, FloatBelow, Int, Text};
-use crate::args::{opt, Command, Opt, Parsed, THREADS, U32};
+use crate::args::{opt, Command, Opt, Parsed, U32};
 use imcf_core::amortization::{AmortizationPlan, ApKind};
 use imcf_core::calendar::{PaperCalendar, HOURS_PER_MONTH};
 use imcf_core::candidate::PlanningSlot;
@@ -115,7 +115,6 @@ pub const PLAN: Command = Command {
         opt("k", Int(1, u64::MAX)).default("2"),
         opt("tau", Int(0, U32)).default("100"),
         opt("savings", FloatBelow(0.0, 100.0)).default("0"),
-        opt("jobs", Int(1, THREADS)).unset("one planner that carries unspent budget over"),
     ]],
 };
 
@@ -155,19 +154,7 @@ pub fn plan(parsed: &Parsed) -> Result<(), String> {
         init: InitStrategy::AllOnes,
         seed,
     });
-    // `--jobs` selects the deterministic parallel path, which plans each
-    // slot independently and therefore cannot bank unspent budget between
-    // hours — equivalent to `without_carry_over()`. Without the flag the
-    // legacy sequential planner (with carry-over) runs unchanged.
-    let report = match parsed.maybe("jobs") {
-        Some(n) => {
-            println!(
-                "note: --jobs plans slots independently (strict per-slot budgets, no carry-over)"
-            );
-            planner.without_carry_over().plan_slots_parallel(slots, n)
-        }
-        None => planner.plan(slots),
-    };
+    let report = planner.plan(slots);
     println!(
         "planned {horizon} hour(s) ({:.1} day(s)) under a {budget_share:.1} kWh share of the {budget:.0} kWh budget",
         horizon as f64 / 24.0

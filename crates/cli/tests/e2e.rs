@@ -135,37 +135,13 @@ fn plan_rejects_a_table_with_a_non_finite_or_negative_value() {
     }
 }
 
+/// The planner banks unspent budget from slot to slot, so there is one
+/// sequential path and no worker count to pick.
 #[test]
-fn plan_with_jobs_is_deterministic_across_worker_counts() {
+fn plan_has_no_jobs_option() {
     let (_dir, path) = write_temp(MRT, "family.mrt");
-    let run = |jobs: &str| {
-        let out = imcf()
-            .args([
-                "plan", &path, "--days", "3", "--tau", "40", "--seed", "1", "--jobs", jobs,
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let text = String::from_utf8_lossy(&out.stdout).into_owned();
-        assert!(text.contains("no carry-over"));
-        // Strip the wall-clock F_T line; everything else must match.
-        text.lines()
-            .filter(|l| !l.contains("F_T"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(run("1"), run("4"));
-}
-
-#[test]
-fn plan_rejects_zero_jobs() {
-    let (_dir, path) = write_temp(MRT, "family.mrt");
-    let args = ["plan", &path, "--days", "1", "--jobs", "0"];
-    assert_range_error(&args, "jobs", "in 1..=1024");
+    let args = ["plan", &path, "--days", "1", "--jobs", "2"];
+    assert_refused(&args, "unknown option `--jobs` (see --help)");
 }
 
 /// Runs `imcf <args>` and asserts a usage error (exit 1, not a panic's
@@ -186,7 +162,7 @@ fn assert_refused(args: &[&str], message: &str) {
 fn every_command_help_exits_zero_and_lists_its_options() {
     for (command, option) in [
         ("validate", None),
-        ("plan", Some("--jobs")),
+        ("plan", Some("--savings")),
         ("simulate", Some("--months")),
         ("ecp", Some("--dataset")),
         ("workflow", Some("--hour")),

@@ -186,15 +186,15 @@ impl<O: Optimizer> EnergyPlanner<O> {
         })
     }
 
-    /// Plans every slot of a horizon, returning the aggregated report.
+    /// Plans every slot of a horizon through [`Self::plan_slot`], one RNG
+    /// threaded through in slot order, returning the aggregated report.
+    /// With carry-over, the budget a slot leaves unspent is banked for the
+    /// next: Algorithm 1's sequential dependency.
     pub fn plan<I>(&self, slots: I) -> PlanReport
     where
         I: IntoIterator<Item = PlanningSlot>,
     {
-        // The per-slot cost is two clock reads and a few relaxed atomic
-        // ops.
-        let (slot_micros, slots_planned) = self.slot_metrics();
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
+        let mut rng = self.rng();
         let mut report = PlanReport::empty();
         let mut reserve = 0.0f64;
         let start = Stopwatch::start();
@@ -202,90 +202,20 @@ impl<O: Optimizer> EnergyPlanner<O> {
             if self.carry_over {
                 slot.budget_kwh += reserve;
             }
-            let init = self.init.generate(slot.len(), &mut rng);
-            let slot_start = Stopwatch::start();
-            let (bits, obj) = self.optimizer.optimize(&slot, init, &mut rng);
-            slot_micros.observe(slot_start.elapsed_micros() as f64);
-            slots_planned.inc();
+            let (bits, energy_kwh) = self.plan_slot(&slot, &mut rng);
             if self.carry_over {
-                reserve = (slot.budget_kwh - obj.energy_kwh).max(0.0);
+                reserve = (slot.budget_kwh - energy_kwh).max(0.0);
             }
-            report.absorb_slot(&slot, &bits, obj.energy_kwh);
+            report.absorb_slot(&slot, &bits, energy_kwh);
         }
         report.planning_time = start.elapsed();
         report
     }
 
-    /// Plans a horizon of **independent** slots, fanning the per-slot
-    /// optimization out over `jobs` pool workers.
-    ///
-    /// Determinism contract: the resulting [`PlanReport`] is byte-equal
-    /// for every `jobs` value (timing fields aside — `planning_time` is
-    /// wall-clock and excluded from the contract). Two mechanisms make
-    /// that true:
-    ///
-    /// * every slot draws from its **own** RNG, seeded with
-    ///   `imcf_pool::derive_seed(self.seed, slot_index)` — the stream a
-    ///   slot consumes depends only on which slot it is, never on which
-    ///   worker ran it or when;
-    /// * slot outcomes are collected **by index** and folded into the
-    ///   report in slot order, so floating-point accumulation order is
-    ///   fixed.
-    ///
-    /// Note the RNG derivation differs from [`EnergyPlanner::plan`], which
-    /// threads a single sequential RNG through the horizon (slot *n*'s
-    /// stream there depends on how much entropy slots `0..n` consumed);
-    /// `plan_slots_parallel(slots, 1)` is the sequential twin of this
-    /// path, not of `plan`.
-    ///
-    /// # Panics
-    /// Panics when budget carry-over is enabled: the reserve banked by
-    /// slot *n* feeds slot *n + 1*, so a carry-over horizon is inherently
-    /// sequential. Call [`EnergyPlanner::without_carry_over`] first.
-    pub fn plan_slots_parallel(&self, slots: Vec<PlanningSlot>, jobs: usize) -> PlanReport
-    where
-        O: Sync,
-    {
-        assert!(
-            !self.carry_over,
-            "plan_slots_parallel requires without_carry_over(): \
-             budget carry-over couples consecutive slots sequentially"
-        );
-        let (slot_micros, slots_planned) = self.slot_metrics();
-        let start = Stopwatch::start();
-        let outcomes = imcf_pool::map_indexed(jobs, slots, |index, slot| {
-            // Trace identity mirrors the seed derivation: a function of
-            // the slot's position only, so the trace a worker emits for
-            // slot `index` is byte-identical at every `--jobs N`.
-            let trace_guard = trace::begin(
-                trace::TraceId::derive(self.seed, slot.hour_index, index as u64),
-                || format!("plan/{}", slot.hour_index),
-            );
-            let mut rng =
-                ChaCha8Rng::seed_from_u64(imcf_pool::derive_seed(self.seed, index as u64));
-            let init = self.init.generate(slot.len(), &mut rng);
-            let tspan = trace::span("planner.plan_slot");
-            let slot_start = Stopwatch::start();
-            let (bits, obj) = self.optimizer.optimize(&slot, init, &mut rng);
-            slot_micros.observe(slot_start.elapsed_micros() as f64);
-            slots_planned.inc();
-            if trace::active() {
-                tspan.attr("optimizer", self.optimizer_name());
-                record_slot_decision(&slot, &bits, obj.energy_kwh);
-            }
-            drop(tspan);
-            drop(trace_guard);
-            (slot, bits, obj.energy_kwh)
-        });
-        let mut report = PlanReport::empty();
-        for (slot, bits, energy_kwh) in &outcomes {
-            report.absorb_slot(slot, bits, *energy_kwh);
-        }
-        report.planning_time = start.elapsed();
-        report
-    }
-
-    /// Plans a single slot (used by the live controller loop).
+    /// Plans a single slot: the body [`Self::plan`] runs for every slot and
+    /// the live controller loop runs once per tick. Draws the initial
+    /// solution, then optimizes, from `rng`; the per-slot cost beyond that
+    /// is two clock reads and a few relaxed atomic ops.
     pub fn plan_slot(&self, slot: &PlanningSlot, rng: &mut ChaCha8Rng) -> (Solution, f64) {
         let (slot_micros, slots_planned) = self.slot_metrics();
         let tspan = trace::span("planner.plan_slot");
@@ -426,53 +356,25 @@ mod tests {
         }
     }
 
-    /// The parallel path's determinism contract: every `jobs` value yields
-    /// a byte-equal report (wall-clock planning_time aside).
+    /// Batch and live planning share one per-slot body: a horizon planned
+    /// at once equals the same slots fed one by one to `plan_slot`.
     #[test]
-    fn parallel_plan_is_byte_equal_across_job_counts() {
+    fn plan_is_plan_slot_in_slot_order() {
         let planner = EnergyPlanner::from_config(PlannerConfig {
             seed: 7,
-            init: InitStrategy::Random, // exercise the per-slot RNG
+            init: InitStrategy::Random,
             ..Default::default()
         })
         .without_carry_over();
-        let mut baseline = planner.plan_slots_parallel(day_slots(), 1);
-        baseline.planning_time = Duration::ZERO;
-        for jobs in [2, 4, 7] {
-            let mut report = planner.plan_slots_parallel(day_slots(), jobs);
-            report.planning_time = Duration::ZERO;
-            assert_eq!(baseline, report, "jobs = {jobs}");
+        let mut batch = planner.plan(day_slots());
+        batch.planning_time = Duration::ZERO;
+        let mut rng = planner.rng();
+        let mut live = PlanReport::empty();
+        for slot in day_slots() {
+            let (bits, energy_kwh) = planner.plan_slot(&slot, &mut rng);
+            live.absorb_slot(&slot, &bits, energy_kwh);
         }
-    }
-
-    #[test]
-    fn parallel_plan_respects_strict_caps() {
-        let planner = EnergyPlanner::from_config(PlannerConfig::default()).without_carry_over();
-        let report = planner.plan_slots_parallel(day_slots(), 4);
-        assert_eq!(report.slots, 24);
-        assert_eq!(report.instances, 48);
-        assert!(report.energy_kwh <= 0.6 * 24.0 + 1e-9);
-        // Same tightness as the sequential strict-cap path: one rule per
-        // slot must drop.
-        assert!(
-            report.dropped_instances >= 24,
-            "dropped {}",
-            report.dropped_instances
-        );
-    }
-
-    #[test]
-    fn parallel_plan_handles_empty_horizon() {
-        let planner = EnergyPlanner::from_config(PlannerConfig::default()).without_carry_over();
-        let report = planner.plan_slots_parallel(Vec::new(), 4);
-        assert_eq!(report.slots, 0);
-        assert_eq!(report.fe_kwh(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "without_carry_over")]
-    fn parallel_plan_rejects_carry_over() {
-        EnergyPlanner::from_config(PlannerConfig::default()).plan_slots_parallel(day_slots(), 2);
+        assert_eq!(batch, live);
     }
 
     #[test]
@@ -499,31 +401,5 @@ mod tests {
         assert_eq!(report.slots, 0);
         assert_eq!(report.fce_percent(), 0.0);
         assert_eq!(report.fe_kwh(), 0.0);
-    }
-
-    /// Satellite contract: the trace a parallel run emits for slot *i* is
-    /// identified — and laid out — the same at every worker count.
-    #[test]
-    fn parallel_slot_traces_are_identical_across_worker_counts() {
-        let recorder = trace::recorder();
-        recorder.set_enabled(true);
-        let planner = EnergyPlanner::from_config(PlannerConfig::default()).without_carry_over();
-        let ids: Vec<trace::TraceId> = day_slots()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| trace::TraceId::derive(0, s.hour_index, i as u64))
-            .collect();
-        planner.plan_slots_parallel(day_slots(), 1);
-        let sequential = recorder.chrome_trace_json_for(&ids);
-        planner.plan_slots_parallel(day_slots(), 4);
-        let parallel = recorder.chrome_trace_json_for(&ids);
-        assert!(
-            sequential.contains("planner.decision"),
-            "slot traces must carry the amortization decision: {sequential}"
-        );
-        assert_eq!(
-            sequential, parallel,
-            "per-slot traces must not depend on the worker count"
-        );
     }
 }

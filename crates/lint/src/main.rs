@@ -52,12 +52,7 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
             }
             "--jobs" => {
                 i += 1;
-                let n = argv
-                    .get(i)
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|n| *n > 0)
-                    .ok_or_else(|| String::from("--jobs expects a positive integer"))?;
-                opts.jobs = Some(n);
+                opts.jobs = Some(imcf_pool::parse_jobs(argv.get(i).map(String::as_str))?);
             }
             "--write-baseline" => opts.write_baseline = true,
             "--help" | "-h" => {
@@ -73,12 +68,7 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
             }
             other => {
                 if let Some(v) = other.strip_prefix("--jobs=") {
-                    let n = v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|n| *n > 0)
-                        .ok_or_else(|| String::from("--jobs expects a positive integer"))?;
-                    opts.jobs = Some(n);
+                    opts.jobs = Some(imcf_pool::parse_jobs(Some(v))?);
                 } else {
                     return Err(format!("unknown flag `{other}` (try --help)"));
                 }
@@ -92,7 +82,7 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
 fn run() -> Result<bool, String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_args(&argv)?;
-    let jobs = imcf_pool::resolve_jobs(opts.jobs);
+    let jobs = opts.jobs.unwrap_or_else(imcf_pool::available_jobs);
 
     // `cargo run -p imcf-lint` keeps the invoker's cwd, which in CI and in
     // normal use is somewhere inside the workspace; walk up from there.

@@ -8,8 +8,9 @@
 //! client:
 //!
 //! * [`server`] — a dependency-free threaded HTTP/1.1 server over
-//!   `std::net::TcpListener`: bounded worker/acceptor model with a hard
-//!   connection cap (503 + `Retry-After` on saturation), keep-alive with
+//!   `std::net::TcpListener`: an acceptor and a thread per connection
+//!   under a hard connection cap (503 + `Retry-After` on saturation),
+//!   keep-alive with
 //!   per-connection request caps, strict parse limits, read/write
 //!   timeouts, per-home token-bucket enforcement at the edge (429), and
 //!   graceful shutdown that drains in-flight requests.
@@ -21,8 +22,8 @@
 //!   reporting p50/p99/p999 from `imcf-telemetry` histograms.
 //!
 //! The whole plane is compat-shim-world native: no tokio, no hyper —
-//! `std::net` + threads, same as the deterministic pool underneath the
-//! planner.
+//! `std::net` + `std::thread::scope`, same as the deterministic pool
+//! underneath the bench grids.
 
 pub mod client;
 pub mod http;

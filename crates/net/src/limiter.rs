@@ -3,7 +3,7 @@
 //! `imcf-net` plays the paper's Cloud Controller (Fig. 3): the server an
 //! out-of-home APP talks to instead of the Local Controller. The bucket is
 //! its defence against a compromised or runaway APP hammering someone's
-//! home: an abusive client burns a cheap 429 in the server's worker thread
+//! home: an abusive client burns a cheap 429 on its connection's thread
 //! instead of a controller dispatch. One [`EdgeLimiter`] guards one home's
 //! listener (the server fronts a single Local Controller), refilled by
 //! wall-clock seconds — the edge lives outside the deterministic core, so

@@ -1,13 +1,13 @@
-//! The threaded HTTP/1.1 server: a bounded worker/acceptor model over
-//! `std::net::TcpListener` fronting the controller's [`Router`].
+//! The threaded HTTP/1.1 server: an acceptor and one thread per
+//! connection over `std::net::TcpListener`, fronting the controller's
+//! [`Router`].
 //!
 //! ## Threading model
 //!
-//! One acceptor thread owns the listener; a fixed pool of
-//! [`NetConfig::max_connections`] worker threads each own at most one
-//! connection at a time, so the worker count *is* the hard connection
-//! cap. The acceptor hands accepted sockets to idle workers through a
-//! small queue; when every worker is busy it answers `503 Service
+//! One acceptor thread owns the listener and runs a `std::thread::scope`;
+//! each admitted connection is served on a scoped thread of its own, with
+//! no handoff queue. At most [`NetConfig::max_connections`] connections
+//! are admitted at once: beyond that the acceptor answers `503 Service
 //! Unavailable` with `Retry-After` inline and closes — saturation is an
 //! explicit, cheap signal, never an unbounded backlog.
 //!
@@ -23,21 +23,21 @@
 //!
 //! ## Graceful shutdown
 //!
-//! [`ServerHandle::shutdown`] stops accepting, then lets every worker
+//! [`ServerHandle::shutdown`] stops accepting, then lets every connection
 //! finish the request it is serving (and any request a client has
-//! already started sending — workers never abandon a socket they are
-//! mid-read on; the read timeout bounds the wait). Responses written
+//! already started sending — a connection's thread never abandons a
+//! socket it is mid-read on; the read timeout bounds the wait): the
+//! acceptor's scope joins them all. Responses written
 //! during shutdown carry `Connection: close`, so no in-flight response
 //! is ever dropped.
 
 use crate::http::{self, Limits, ParseError, Request};
 use crate::limiter::{Admission, EdgeLimiter, RateLimit};
 use imcf_controller::api::{status_class, Response, Router, JSON_CONTENT_TYPE};
-use std::collections::VecDeque;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -47,8 +47,8 @@ use std::time::Duration;
 pub struct NetConfig {
     /// Bind address, e.g. `127.0.0.1:0` for an ephemeral port.
     pub addr: String,
-    /// Worker threads — and therefore the hard cap on concurrently
-    /// accepted connections. Beyond it the acceptor answers 503.
+    /// The hard cap on concurrently admitted connections, each served on
+    /// a thread of its own. Beyond it the acceptor answers 503.
     pub max_connections: usize,
     /// Per-read socket timeout (slow-loris bound, keep-alive idle bound).
     pub read_timeout: Duration,
@@ -81,10 +81,8 @@ struct Shared {
     router: Arc<Router>,
     limiter: Option<EdgeLimiter>,
     config: NetConfig,
-    queue: Mutex<VecDeque<TcpStream>>,
-    work_ready: Condvar,
     shutdown: AtomicBool,
-    /// Connections accepted and not yet finished (queued or in service).
+    /// Connections admitted and not yet finished.
     active: AtomicUsize,
 }
 
@@ -94,7 +92,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -109,14 +106,10 @@ impl ServerHandle {
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Unblock the acceptor's blocking `accept` with a wake-up
-        // connection; it checks the flag before handling anything.
+        // connection; it checks the flag before handling anything. Its
+        // scope then joins every in-flight connection.
         drop(TcpStream::connect(self.addr));
-        self.shared.work_ready.notify_all();
         let _ = self.acceptor.join();
-        for worker in self.workers {
-            self.shared.work_ready.notify_all();
-            let _ = worker.join();
-        }
     }
 }
 
@@ -127,21 +120,10 @@ pub fn serve(config: NetConfig, router: Arc<Router>) -> io::Result<ServerHandle>
     let shared = Arc::new(Shared {
         limiter: config.rate_limit.map(EdgeLimiter::new),
         router,
-        queue: Mutex::new(VecDeque::new()),
-        work_ready: Condvar::new(),
         shutdown: AtomicBool::new(false),
         active: AtomicUsize::new(0),
         config,
     });
-
-    let workers = (0..shared.config.max_connections.max(1))
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("imcf-net-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
-        })
-        .collect::<io::Result<Vec<_>>>()?;
 
     let acceptor = {
         let shared = Arc::clone(&shared);
@@ -154,13 +136,12 @@ pub fn serve(config: NetConfig, router: Arc<Router>) -> io::Result<ServerHandle>
         addr,
         shared,
         acceptor,
-        workers,
     })
 }
 
 fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
     let telemetry = imcf_telemetry::global();
-    loop {
+    std::thread::scope(|scope| loop {
         let stream = match listener.accept() {
             Ok((stream, _peer)) => stream,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -170,7 +151,7 @@ fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
             break;
         }
         if shared.active.load(Ordering::SeqCst) >= shared.config.max_connections {
-            // Saturated: refuse inline from the acceptor so a busy pool
+            // Saturated: refuse inline from the acceptor so a busy server
             // still answers promptly instead of queueing unboundedly.
             telemetry
                 .counter_with("net.rejected", &[("reason", "saturated")])
@@ -178,13 +159,27 @@ fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
             reject_saturated(stream, shared);
             continue;
         }
+        // Only the acceptor admits, so the check above and this increment
+        // cannot race past the cap.
         shared.active.fetch_add(1, Ordering::SeqCst);
         telemetry.gauge("net.connections").add(1.0);
-        let mut queue = lock(&shared.queue);
-        queue.push_back(stream);
-        drop(queue);
-        shared.work_ready.notify_one();
-    }
+        let spawned = std::thread::Builder::new()
+            .name(String::from("imcf-net-conn"))
+            .spawn_scoped(scope, move || {
+                serve_connection(stream, shared);
+                release(shared);
+            });
+        if spawned.is_err() {
+            // The failed spawn dropped the closure, closing the socket.
+            release(shared);
+        }
+    });
+}
+
+/// Gives an admitted connection's place under the cap back.
+fn release(shared: &Shared) {
+    shared.active.fetch_sub(1, Ordering::SeqCst);
+    imcf_telemetry::global().gauge("net.connections").add(-1.0);
 }
 
 fn reject_saturated(mut stream: TcpStream, shared: &Shared) {
@@ -201,37 +196,6 @@ fn reject_saturated(mut stream: TcpStream, shared: &Shared) {
     imcf_telemetry::global()
         .counter_with("net.requests", &[("status", status_class(503))])
         .inc();
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let stream = {
-            let mut queue = lock(&shared.queue);
-            loop {
-                if let Some(stream) = queue.pop_front() {
-                    break stream;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = match shared.work_ready.wait(queue) {
-                    Ok(q) => q,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-        };
-        serve_connection(stream, shared);
-        shared.active.fetch_sub(1, Ordering::SeqCst);
-        imcf_telemetry::global().gauge("net.connections").add(-1.0);
-    }
-}
-
-/// Locks a mutex, recovering from poison (a panicking worker must not
-/// take the whole accept queue down with it).
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn serve_connection(stream: TcpStream, shared: &Shared) {

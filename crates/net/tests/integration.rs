@@ -1,6 +1,7 @@
 //! End-to-end tests: a real TCP client against the full stack — router
 //! routes, keep-alive reuse, the edge token bucket (429), saturation
-//! (503), and graceful shutdown with zero dropped in-flight responses.
+//! (503) and a freed slot after a close, and graceful shutdown with zero
+//! dropped in-flight responses.
 
 mod common;
 
@@ -157,9 +158,9 @@ fn saturated_server_answers_503_with_retry_after() {
     });
     let addr = server.addr().to_string();
 
-    // Occupy the only worker with a parked keep-alive connection. The
-    // round trip guarantees the worker has picked the connection up (it
-    // answered), so the pool is deterministically full.
+    // Occupy the only slot with a parked keep-alive connection. The
+    // round trip guarantees the server has admitted the connection (it
+    // answered), so the cap is deterministically reached.
     let mut parked = Connection::open(&addr, CLIENT_TIMEOUT).expect("connect");
     let ok = parked.round_trip("GET", "/rest/items", b"").expect("park");
     assert_eq!(ok.status, 200);
@@ -181,6 +182,41 @@ fn saturated_server_answers_503_with_retry_after() {
     server.shutdown();
 }
 
+/// A connection that ends gives its place under the cap back: with room
+/// for one, a closed connection's successor is served, not refused.
+#[test]
+fn a_closed_connection_frees_its_slot() {
+    let server = start(NetConfig {
+        max_connections: 1,
+        ..quick_config()
+    });
+    let addr = server.addr().to_string();
+
+    let mut parked = Connection::open(&addr, CLIENT_TIMEOUT).expect("connect");
+    let ok = parked.round_trip("GET", "/rest/items", b"").expect("park");
+    assert_eq!(ok.status, 200);
+    drop(parked);
+
+    // The server notices the close on its next read, so the slot frees
+    // shortly after, not at once: retry a refusal within a bounded window.
+    let deadline = std::time::Instant::now() + CLIENT_TIMEOUT;
+    loop {
+        let mut next = Connection::open(&addr, CLIENT_TIMEOUT).expect("connect");
+        match next.round_trip("GET", "/rest/items", b"") {
+            Ok(response) if response.status == 200 => break,
+            Ok(response) => assert_eq!(response.status, 503, "{}", response.body_text()),
+            // A refused connection may be reset before its 503 is read.
+            Err(_) => {}
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the closed connection never freed its slot"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server.shutdown();
+}
+
 #[test]
 fn graceful_shutdown_drains_in_flight_requests() {
     let server = start(NetConfig {
@@ -189,9 +225,10 @@ fn graceful_shutdown_drains_in_flight_requests() {
     });
     let addr = server.addr().to_string();
 
-    // Prove the worker owns this connection, then put a request on the
-    // wire and only then begin shutdown: the bytes are in flight when the
-    // flag flips, and the worker must still answer them.
+    // Prove the server has admitted this connection, then put a request
+    // on the wire and only then begin shutdown: the bytes are in flight
+    // when the flag flips, and the connection's thread must still answer
+    // them.
     let mut conn = Connection::open(&addr, CLIENT_TIMEOUT).expect("connect");
     assert_eq!(
         conn.round_trip("GET", "/rest/items", b"")

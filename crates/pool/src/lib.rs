@@ -1,11 +1,10 @@
-//! # imcf-pool — deterministic scoped worker pool
+//! # imcf-pool — deterministic scoped fan-out
 //!
-//! The experiment grid (every bench binary) and the Energy Planner's
-//! independent-slot path are embarrassingly parallel: each cell is a pure
-//! function of its inputs. This crate provides the fan-out machinery with a
-//! **determinism contract**: the output of a parallel run is bit-identical
-//! to the sequential run of the same work list, regardless of worker count
-//! or scheduling order. Two rules make that true:
+//! The experiment grid (every bench binary) is embarrassingly parallel:
+//! each cell is a pure function of its inputs. This crate provides the
+//! fan-out with a **determinism contract**: the output of a parallel run is
+//! bit-identical to the sequential run of the same work list, regardless of
+//! worker count or scheduling order. Two rules make that true:
 //!
 //! 1. **Seeds are derived, never shared.** A task never consumes entropy
 //!    from a stream another task also touches; callers derive each task's
@@ -13,176 +12,34 @@
 //!    (`seed ⊕ splitmix64(index)`), so the seed depends only on *which*
 //!    task it is, not on when it runs.
 //! 2. **Results are collected by index, never by completion order.**
-//!    [`map_indexed`] writes each result into its input slot, so the
+//!    [`map_indexed`] writes each result into its input's slot, so the
 //!    returned vector (and any fold over it) is order-independent.
 //!
-//! The pool is dependency-free: hand-rolled scoped threads over a chunked
-//! work queue (`Mutex<VecDeque>` + `Condvar`), no external crates. Worker
-//! panics are captured and re-raised on the caller thread after the scope
-//! drains, matching the sequential behaviour of a panicking iteration.
+//! The workers are `std::thread::scope` threads that claim one index at a
+//! time, so a slow item never holds back the items after it. A panicking
+//! item stops only its own thread; the others finish the list, and the
+//! panic is re-raised on the caller's thread, as the sequential loop would
+//! have raised it.
 //!
-//! Worker counts resolve via [`resolve_jobs`]: an explicit `--jobs N` flag
-//! beats the `IMCF_JOBS` environment variable beats the machine's available
-//! cores. `jobs = 1` degenerates to an inline loop on the caller thread —
-//! no threads are spawned at all.
+//! Worker counts come from [`jobs_from_args`]: `--jobs N` when given,
+//! otherwise the machine's available cores. `jobs = 1` degenerates to an
+//! inline loop on the caller thread — no threads are spawned at all.
 //!
-//! Telemetry: `pool.workers` (gauge), `pool.tasks` (counter — work
-//! *items* submitted to [`map_indexed`], independent of worker count or
-//! chunking) and `pool.queue_depth` (gauge) are registered in the
-//! `imcf-telemetry` catalog and updated as scopes run.
+//! Telemetry: `pool.workers` (gauge) and `pool.tasks` (counter — work
+//! *items* submitted to [`map_indexed`], independent of worker count) are
+//! registered in the `imcf-telemetry` catalog.
 
-use std::any::Any;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
-
-/// A queued unit of work, erased to a boxed closure borrowing the caller's
-/// environment (`'env` outlives the [`scope`] call).
-type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// Lock a std mutex without poisoning semantics (a worker panic is
-/// captured and re-raised separately; the shared state stays usable).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Shared state between the scope owner and its workers.
-struct Shared<'env> {
-    queue: Mutex<VecDeque<Job<'env>>>,
-    ready: Condvar,
-    /// Set once the scope body returned: workers drain and exit.
-    closed: AtomicBool,
-    /// First captured worker panic, re-raised by the scope owner.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-impl<'env> Shared<'env> {
-    fn new() -> Self {
-        Shared {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            closed: AtomicBool::new(false),
-            panic: Mutex::new(None),
-        }
-    }
-
-    fn close(&self) {
-        // The flag must flip while holding the condvar's mutex: a worker
-        // that found the queue empty and read `closed == false` under the
-        // lock, but has not yet parked in `Condvar::wait`, still holds the
-        // mutex — so taking it here orders the store (and the wakeup)
-        // after that worker parks. Storing outside the lock loses the
-        // notification and deadlocks the scope join.
-        let guard = lock(&self.queue);
-        self.closed.store(true, Ordering::SeqCst);
-        drop(guard);
-        self.ready.notify_all();
-    }
-
-    fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        lock(&self.panic).take()
-    }
-}
-
-/// Handle passed to the [`scope`] body for submitting tasks.
-pub struct Spawner<'s, 'env> {
-    shared: &'s Shared<'env>,
-}
-
-impl<'env> Spawner<'_, 'env> {
-    /// Submits a task to the scope's work queue. Tasks run on the scope's
-    /// workers in FIFO submission order (with one worker this is exactly
-    /// sequential execution); all tasks complete before [`scope`] returns.
-    ///
-    /// Jobs are not counted in `pool.tasks` — that counter's unit is *work
-    /// items*, accounted by [`map_indexed`], which may pack many items
-    /// into one spawned job.
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'env) {
-        let depth = {
-            let mut q = lock(&self.shared.queue);
-            q.push_back(Box::new(job));
-            q.len()
-        };
-        imcf_telemetry::global()
-            .gauge("pool.queue_depth")
-            .set(depth as f64);
-        self.shared.ready.notify_one();
-    }
-}
-
-/// Worker loop: pop jobs until the queue is drained and the scope closed.
-fn worker(shared: &Shared<'_>) {
-    let queue_depth = imcf_telemetry::global().gauge("pool.queue_depth");
-    loop {
-        let job = {
-            let mut q = lock(&shared.queue);
-            loop {
-                if let Some(job) = q.pop_front() {
-                    queue_depth.set(q.len() as f64);
-                    break job;
-                }
-                if shared.closed.load(Ordering::SeqCst) {
-                    return;
-                }
-                q = shared.ready.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        // A panicking task must not kill the worker (queued siblings still
-        // run, mirroring how a sequential loop would have produced their
-        // results before unwinding reached the caller); the first payload
-        // is re-raised by the scope owner after the drain.
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-            let mut slot = lock(&shared.panic);
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-    }
-}
-
-/// Runs `f` with a [`Spawner`] backed by `jobs` worker threads. Every task
-/// submitted inside `f` completes before `scope` returns; a panic in any
-/// task (or in `f` itself) is re-raised on the caller thread afterwards.
-///
-/// With `jobs <= 1` a single worker thread drains the queue in FIFO order,
-/// so submission order is execution order.
-pub fn scope<'env, T, F>(jobs: usize, f: F) -> T
-where
-    F: FnOnce(&Spawner<'_, 'env>) -> T,
-{
-    let jobs = jobs.max(1);
-    let shared = Shared::new();
-    imcf_telemetry::global()
-        .gauge("pool.workers")
-        .set(jobs as f64);
-    let outcome = std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| worker(&shared));
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| f(&Spawner { shared: &shared })));
-        shared.close();
-        outcome
-        // The std scope joins every worker here, so all tasks are done
-        // (or their panics captured) before `scope` returns.
-    });
-    if let Some(payload) = shared.take_panic() {
-        std::panic::resume_unwind(payload);
-    }
-    match outcome {
-        Ok(value) => value,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Maps `f` over `items` on `jobs` workers, returning results **in input
-/// order**. Work is distributed as contiguous index chunks through the
-/// scope queue; each result lands in its input's slot, so the output is
-/// bit-identical to `items.into_iter().enumerate().map(f).collect()`
-/// for any pure `f`, whatever the worker count.
+/// order**. Each worker claims the next unclaimed index and writes its
+/// result into that index's slot, so the output is bit-identical to
+/// `items.into_iter().enumerate().map(f).collect()` for any pure `f`,
+/// whatever the worker count.
 ///
 /// `jobs <= 1` (or a single item) short-circuits to exactly that inline
-/// loop — no threads, no queue.
+/// loop — no threads.
 pub fn map_indexed<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -201,40 +58,45 @@ where
             .map(|(i, item)| f(i, item))
             .collect();
     }
-    // Chunk the work list: ~4 chunks per worker balances queue overhead
-    // against tail latency when task costs are uneven.
-    let chunk_size = n.div_ceil(jobs * 4).max(1);
-    let mut chunks: Vec<(usize, Vec<T>)> = Vec::new();
-    let mut items = items.into_iter();
-    let mut start = 0;
-    loop {
-        let chunk: Vec<T> = items.by_ref().take(chunk_size).collect();
-        if chunk.is_empty() {
-            break;
+    imcf_telemetry::global()
+        .gauge("pool.workers")
+        .set(jobs as f64);
+    let inputs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let outputs: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let Some(input) = inputs.get(index) else {
+            return;
+        };
+        let item = input.lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(item) = item {
+            let value = f(index, item);
+            *outputs[index]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) = Some(value);
         }
-        let len = chunk.len();
-        chunks.push((start, chunk));
-        start += len;
-    }
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let f = &f;
-    let results_ref = &results;
-    scope(jobs, |s| {
-        for (chunk_start, chunk) in chunks {
-            s.spawn(move || {
-                for (offset, item) in chunk.into_iter().enumerate() {
-                    let index = chunk_start + offset;
-                    let value = f(index, item);
-                    *lock(&results_ref[index]) = Some(value);
-                }
-            });
+    };
+    let panic = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..jobs).map(|_| s.spawn(work)).collect();
+        // Join every worker before re-raising, so the siblings of a
+        // panicking item still finish the list.
+        let mut first = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                first.get_or_insert(payload);
+            }
         }
+        first
     });
-    results
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
+    outputs
         .into_iter()
         .enumerate()
         .map(
-            |(i, slot)| match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            |(i, slot)| match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
                 Some(value) => value,
                 None => panic!("pool: task {i} produced no result"),
             },
@@ -265,39 +127,40 @@ pub fn available_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolves a worker count: an explicit flag value beats `IMCF_JOBS`
-/// beats [`available_jobs`]. Zero values are treated as unset.
-pub fn resolve_jobs(flag: Option<usize>) -> usize {
-    flag.filter(|n| *n > 0)
-        .or_else(|| {
-            std::env::var("IMCF_JOBS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|n: &usize| *n > 0)
+/// Parses the value of a `--jobs` flag: a positive integer, or an error
+/// naming what was found instead.
+pub fn parse_jobs(value: Option<&str>) -> Result<usize, String> {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|n: &usize| *n > 0)
+        .ok_or_else(|| match value {
+            Some(v) => format!("--jobs expects a positive integer, found `{v}`"),
+            None => String::from("--jobs expects a positive integer, found nothing"),
         })
-        .unwrap_or_else(available_jobs)
 }
 
-/// Scans an argv-style iterator for `--jobs N` or `--jobs=N` and resolves
-/// the worker count via [`resolve_jobs`]. Malformed values fall through
-/// to the environment/core default. Bench binaries call this with
-/// `std::env::args()`.
-pub fn jobs_from_args<I: IntoIterator<Item = String>>(args: I) -> usize {
-    let args: Vec<String> = args.into_iter().collect();
-    let flag = args.iter().enumerate().find_map(|(i, a)| {
-        if a == "--jobs" {
-            args.get(i + 1).and_then(|v| v.parse().ok())
-        } else {
-            a.strip_prefix("--jobs=").and_then(|v| v.parse().ok())
+/// Scans an argv-style iterator for `--jobs N` or `--jobs=N`: the worker
+/// count it names, else [`available_jobs`] when the flag is absent. A
+/// malformed value (`0`, not a number, or missing) is an error. Bench
+/// binaries call this with `std::env::args()`.
+pub fn jobs_from_args<I: IntoIterator<Item = String>>(args: I) -> Result<usize, String> {
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if arg == "--jobs" {
+            return parse_jobs(args.next().as_deref());
         }
-    });
-    resolve_jobs(flag)
+        if let Some(value) = arg.strip_prefix("--jobs=") {
+            return parse_jobs(Some(value));
+        }
+    }
+    Ok(available_jobs())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn map_empty_input() {
@@ -354,44 +217,46 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_all_spawned_tasks() {
-        let counter = AtomicUsize::new(0);
-        scope(4, |s| {
-            for _ in 0..50 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "scope body boom")]
-    fn panic_in_scope_body_propagates_without_deadlock() {
-        scope(2, |s| {
-            s.spawn(|| {});
-            panic!("scope body boom");
-        });
-    }
-
-    #[test]
     fn siblings_still_run_after_a_task_panics() {
-        let counter = std::sync::Arc::new(AtomicUsize::new(0));
-        let seen = std::sync::Arc::clone(&counter);
+        let ran = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            scope(2, |s| {
-                s.spawn(|| panic!("first dies"));
-                for _ in 0..10 {
-                    let counter = std::sync::Arc::clone(&counter);
-                    s.spawn(move || {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
+            map_indexed(2, (0..11u64).collect(), |i, _| {
+                if i == 0 {
+                    panic!("first dies");
                 }
-            });
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
         }));
         assert!(result.is_err(), "the task panic must surface");
-        assert_eq!(seen.load(Ordering::SeqCst), 10);
+        assert_eq!(ran.load(Ordering::SeqCst), 10);
+    }
+
+    /// Item 0 waits until the nine items after it have run. Workers that
+    /// claim one index at a time finish them on the other worker; a worker
+    /// that took a run of items along with item 0 would hold them back
+    /// until the deadline.
+    #[test]
+    fn a_slow_item_does_not_hold_back_the_items_after_it() {
+        let ran = AtomicUsize::new(0);
+        let waited = map_indexed(2, (0..10u64).collect(), |i, _| {
+            if i > 0 {
+                ran.fetch_add(1, Ordering::SeqCst);
+                return true;
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while ran.load(Ordering::SeqCst) < 9 {
+                if Instant::now() >= deadline {
+                    return false;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            true
+        });
+        assert!(
+            waited[0],
+            "item 0 hit its deadline with {} of 9 later items run",
+            ran.load(Ordering::SeqCst)
+        );
     }
 
     #[test]
@@ -407,18 +272,23 @@ mod tests {
     }
 
     #[test]
-    fn jobs_resolution_precedence() {
-        // Flag beats everything.
-        assert_eq!(resolve_jobs(Some(3)), 3);
-        // Zero flag is "unset".
-        assert!(resolve_jobs(Some(0)) >= 1);
-        // argv scan, both accepted spellings.
-        let argv = ["bench", "--jobs", "5"].map(String::from);
-        assert_eq!(jobs_from_args(argv), 5);
-        let argv = ["bench", "--jobs=6"].map(String::from);
-        assert_eq!(jobs_from_args(argv), 6);
-        let argv = ["bench"].map(String::from);
-        assert!(jobs_from_args(argv) >= 1);
+    fn jobs_flag_spellings() {
+        let jobs = |argv: &[&str]| jobs_from_args(argv.iter().map(|a| a.to_string()));
+        assert_eq!(jobs(&["bench", "--jobs", "5"]), Ok(5));
+        assert_eq!(jobs(&["bench", "--jobs=6"]), Ok(6));
+        assert_eq!(jobs(&["bench"]), Ok(available_jobs()));
+        for (argv, found) in [
+            (&["bench", "--jobs", "0"][..], "`0`"),
+            (&["bench", "--jobs=0"], "`0`"),
+            (&["bench", "--jobs", "two"], "`two`"),
+            (&["bench", "--jobs"], "nothing"),
+        ] {
+            assert_eq!(
+                jobs(argv),
+                Err(format!("--jobs expects a positive integer, found {found}")),
+                "{argv:?}"
+            );
+        }
     }
 
     #[test]

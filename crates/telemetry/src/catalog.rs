@@ -209,12 +209,6 @@ pub const METRICS: &[MetricDef] = &[
         help: "planning slots processed by the Energy Planner",
     },
     MetricDef {
-        name: "pool.queue_depth",
-        kind: MetricKind::Gauge,
-        labels: &[],
-        help: "work chunks queued in the active imcf-pool scope",
-    },
-    MetricDef {
         name: "pool.tasks",
         kind: MetricKind::Counter,
         labels: &[],
@@ -224,7 +218,7 @@ pub const METRICS: &[MetricDef] = &[
         name: "pool.workers",
         kind: MetricKind::Gauge,
         labels: &[],
-        help: "worker threads of the most recent imcf-pool scope",
+        help: "worker threads of the most recent threaded imcf-pool map_indexed",
     },
     MetricDef {
         name: "recorder.dumps",

@@ -383,6 +383,52 @@ fn ecp_flat_profile() {
     assert!(text.contains("total"));
 }
 
+/// The `map_indexed` calls that started worker threads in one `imcf` run,
+/// as its `--telemetry` snapshot counts them (`pool.threaded_calls`, absent
+/// when none did).
+fn threaded_calls(args: &[&str]) -> f64 {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().join("telemetry.json");
+    let out = imcf()
+        .args(args)
+        .arg("--telemetry")
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let snapshot: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let metrics = snapshot.get("metrics").and_then(|m| m.as_array());
+    let counter = metrics
+        .expect("the snapshot lists its metrics")
+        .iter()
+        .find(|m| m.get("name").and_then(|n| n.as_str()) == Some("pool.threaded_calls"));
+    match counter.and_then(|m| m.get("value")) {
+        Some(serde_json::Value::Number(n)) => n.as_f64(),
+        Some(other) => panic!("pool.threaded_calls reads {other:?}"),
+        None => 0.0,
+    }
+}
+
+#[test]
+fn small_inputs_start_no_threads() {
+    // `imcf plan` synthesizes one zone over at most 31 days and prices one
+    // month; the flat dataset is one zone over three years.
+    let (_dir, path) = write_temp(MRT, "family.mrt");
+    assert_eq!(threaded_calls(&["plan", &path]), 0.0);
+    let flat = ["simulate", "--dataset", "flat", "--months", "1"];
+    assert_eq!(threaded_calls(&flat), 0.0);
+    // The house's four zones, then its twelve months, fan out once each on
+    // a machine with more than one core.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let house = if cores > 1 { 2.0 } else { 0.0 };
+    assert_eq!(threaded_calls(&["ecp", "--dataset", "house"]), house);
+}
+
 #[test]
 fn serve_rejects_a_refill_rate_that_is_not_finite_and_non_negative() {
     // NaN and inf leave the edge bucket always full; -1 drains it by

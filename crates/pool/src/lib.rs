@@ -1,7 +1,11 @@
 //! # imcf-pool — deterministic scoped fan-out
 //!
 //! The experiment grid (every bench binary) is embarrassingly parallel:
-//! each cell is a pure function of its inputs. This crate provides the
+//! each cell is a pure function of its inputs. So are `imcf-lint`'s files
+//! and, inside the library, the zones of a synthesized trace
+//! (`imcf_traces`' `TraceGenerator::generate`, which `Dataset::build`
+//! calls) and the months of an Energy Consumption Profile (`derive_ecp`,
+//! which `derive_mr_ecp` calls). This crate provides the
 //! fan-out with a **determinism contract**: the output of a parallel run is
 //! bit-identical to the sequential run of the same work list, regardless of
 //! worker count or scheduling order. Two rules make that true:
@@ -21,13 +25,19 @@
 //! panic is re-raised on the caller's thread, as the sequential loop would
 //! have raised it.
 //!
-//! Worker counts come from [`jobs_from_args`]: `--jobs N` when given,
-//! otherwise the machine's available cores. `jobs = 1` degenerates to an
-//! inline loop on the caller thread — no threads are spawned at all.
+//! Worker counts: the bench binaries and `imcf-lint` take theirs from
+//! [`jobs_from_args`], `--jobs N` when given, otherwise the machine's
+//! available cores. The two library fan-outs take [`available_jobs`],
+//! whatever `--jobs` says, and stay inline for a trace of one zone or one
+//! month; a bench grid whose cells build datasets can therefore run up to
+//! jobs × cores threads. `jobs = 1` degenerates to an inline loop on the
+//! caller thread — no threads are spawned at all.
 //!
-//! Telemetry: `pool.workers` (gauge) and `pool.tasks` (counter — work
-//! *items* submitted to [`map_indexed`], independent of worker count) are
-//! registered in the `imcf-telemetry` catalog.
+//! Telemetry, registered in the `imcf-telemetry` catalog: `pool.tasks`
+//! (counter — work *items* submitted to [`map_indexed`], independent of
+//! worker count), `pool.threaded_calls` (counter — calls that started
+//! threads) and `pool.workers` (gauge — the threads of whichever threaded
+//! call ran last, a library fan-out inside a grid cell included).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -58,9 +68,9 @@ where
             .map(|(i, item)| f(i, item))
             .collect();
     }
-    imcf_telemetry::global()
-        .gauge("pool.workers")
-        .set(jobs as f64);
+    let telemetry = imcf_telemetry::global();
+    telemetry.counter("pool.threaded_calls").inc();
+    telemetry.gauge("pool.workers").set(jobs as f64);
     let inputs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let outputs: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);

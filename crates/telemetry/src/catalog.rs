@@ -215,6 +215,12 @@ pub const METRICS: &[MetricDef] = &[
         help: "work items submitted to imcf-pool map_indexed (unit independent of worker count)",
     },
     MetricDef {
+        name: "pool.threaded_calls",
+        kind: MetricKind::Counter,
+        labels: &[],
+        help: "imcf-pool map_indexed calls that started worker threads",
+    },
+    MetricDef {
         name: "pool.workers",
         kind: MetricKind::Gauge,
         labels: &[],

@@ -226,17 +226,22 @@ impl TraceGenerator {
         }
     }
 
-    /// Generates a multi-zone trace.
+    /// Generates a multi-zone trace, its zones on the available cores.
     pub fn generate(&self, zones: &[&str]) -> Trace {
+        self.generate_on(imcf_pool::available_jobs(), zones)
+    }
+
+    /// [`Self::generate`] on `jobs` workers. Each zone draws only from its
+    /// own stream, seeded by (seed, zone name), and `map_indexed` returns
+    /// the zones in input order, so the trace's bits do not depend on
+    /// `jobs`; one zone, or `jobs == 1`, is the inline loop.
+    fn generate_on(&self, jobs: usize, zones: &[&str]) -> Trace {
         let outdoor = self.climate.hour_table(ClimateModel::outdoor_c);
         let sky = self.clear_sky();
-        Trace::new(
-            self.calendar,
-            zones
-                .iter()
-                .map(|z| self.zone_trace(z, &outdoor, &sky))
-                .collect(),
-        )
+        let zones = imcf_pool::map_indexed(jobs, zones.to_vec(), |_, zone| {
+            self.zone_trace(zone, &outdoor, &sky)
+        });
+        Trace::new(self.calendar, zones)
     }
 
     /// Materializes raw per-interval readings for one zone (the CSV-level
@@ -434,6 +439,26 @@ mod tests {
         assert_eq!(t.zones[0], small_generator().generate_zone("a"));
         assert_eq!(t.zones[1], small_generator().generate_zone("b"));
         assert_ne!(t.zones[0].light, t.zones[1].light);
+    }
+
+    /// Inline and on worker threads, whatever cores the machine has: every
+    /// zone of a 7-zone trace has the bits of that zone generated alone.
+    #[test]
+    fn the_zones_keep_their_bits_on_any_worker_count() {
+        let g = TraceGenerator {
+            calendar: PaperCalendar::starting_in(10),
+            horizon_hours: 800,
+            ..small_generator()
+        };
+        let names = ["z0", "z1", "z2", "z3", "z4", "z5", "z6"];
+        for jobs in [1, 4] {
+            let t = g.generate_on(jobs, &names);
+            assert_eq!(t.calendar, g.calendar);
+            assert_eq!(t.zone_count(), names.len(), "jobs = {jobs}");
+            for (zone, name) in t.zones.iter().zip(names) {
+                assert_eq!(zone, &g.generate_zone(name), "{name} at jobs = {jobs}");
+            }
+        }
     }
 
     #[test]
